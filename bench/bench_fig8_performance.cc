@@ -8,11 +8,12 @@
 // 3 orders of magnitude); SCPM runtimes drop as eps_min / delta_min grow
 // (Theorem 4/5 pruning), Naive is flat in those parameters.
 //
-// Beyond the paper, sweeps (g) and (h) track the parallel engine: (g)
-// thread scaling on the lattice-bound workload, (h) a small-lattice /
-// huge-G(S) workload where speedup must come from the intra-search
-// decomposition of single coverage computations. With SCPM_BENCH_JSON
-// set, every timing row is also written as JSON for the CI artifacts.
+// Beyond the paper, sweep (h) tracks the parallel engine on a
+// small-lattice / huge-G(S) workload where speedup must come from the
+// intra-search decomposition of single coverage computations. (Thread
+// scaling end to end is measured by the committed benchmark in
+// perfbench/.) With SCPM_BENCH_JSON set, every timing row is also written
+// as JSON for the CI artifacts.
 
 #include <iomanip>
 #include <iostream>
@@ -281,27 +282,6 @@ int main() {
     g_json.Add(g_section, Label("k", static_cast<double>(k), "scpm_dfs"),
                dfs);
     g_json.Add(g_section, Label("k", static_cast<double>(k), "naive"), naive);
-  }
-
-  // Beyond the paper: scaling of the work-stealing parallel engine
-  // (output is byte-identical to num_threads=1 at every point).
-  Section("(g) runtime x num_threads (SCPM-DFS)");
-  std::cout << std::setw(10) << "threads" << std::setw(14) << "SCPM-DFS(s)"
-            << std::setw(14) << "speedup" << "\n";
-  double base = 0.0;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ScpmOptions o = Defaults();
-    o.search_order = scpm::SearchOrder::kDfs;
-    o.num_threads = threads;
-    const double t = TimeMiner(false, o);
-    if (threads == 1) base = t;
-    std::cout << std::setw(10) << threads << std::setw(14) << std::fixed
-              << std::setprecision(4) << t << std::setw(14)
-              << std::setprecision(2) << (t > 0 ? base / t : 0.0)
-              << std::setprecision(4) << "\n";
-    g_json.Add(g_section, Label("threads", static_cast<double>(threads),
-                                "scpm_dfs"),
-               t);
   }
 
   RunHugeSubgraphScenario();

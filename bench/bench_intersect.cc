@@ -2,15 +2,11 @@
 // set density x size skew over a fixed universe and times the merge
 // baseline (SortedIntersect) against the representation-matched hybrid
 // kernels — vector/vector (merge or gallop), vector/bitmap (bit probe),
-// bitmap/bitmap (word AND + popcount), and the roaring-style chunked
-// container. A dedicated mid-density section sweeps the 1-3% band
-// (uniform and clustered layouts) where the chunked container is the
-// designated winner, and a SIMD A/B section times the word kernels under
-// the active dispatch path against the forced-scalar table.
+// and bitmap/bitmap (word AND + popcount).
 //
-// Every JSON row carries the kernel variant and the dispatch path, so the
-// CI perf artifacts are attributable to a code path. With SCPM_BENCH_JSON
-// set every row lands in the CI perf artifacts.
+// Every JSON row carries the kernel variant, so the CI perf artifacts are
+// attributable to a code path. With SCPM_BENCH_JSON set every row lands
+// in the CI perf artifacts.
 
 #include <cstdint>
 #include <iomanip>
@@ -23,13 +19,11 @@
 #include "graph/attributed_graph.h"
 #include "util/hybrid_set.h"
 #include "util/random.h"
-#include "util/simd_ops.h"
 #include "util/sorted_ops.h"
 #include "util/timer.h"
 
 namespace {
 
-using scpm::ChunkedVertexSet;
 using scpm::HybridVertexSet;
 using scpm::Rng;
 using scpm::SetOpStats;
@@ -57,12 +51,11 @@ double TimePerCall(const Fn& fn) {
 }
 
 std::string Extra(const char* kernel, double density, std::size_t skew,
-                  double speedup, const char* dispatch = nullptr) {
+                  double speedup) {
   std::ostringstream os;
   os << "\"kernel\":\"" << kernel << "\",\"density\":" << density
      << ",\"skew\":" << skew << ",\"speedup\":" << std::setprecision(4)
-     << speedup << ",\"dispatch\":\""
-     << (dispatch != nullptr ? dispatch : scpm::SimdDispatchName()) << "\"";
+     << speedup;
   return os.str();
 }
 
@@ -102,22 +95,15 @@ void RunCell(VertexId universe, double density, std::size_t skew, Rng& rng) {
   const double bits_bits_s = TimePerCall(
       [&] { VertexBitset::And(bits_a, bits_b, &out_bits); });
 
-  // chunked/chunked (per-chunk word-AND / probe / u16 merge).
-  const ChunkedVertexSet chunks_a = ChunkedVertexSet::FromSorted(a);
-  const ChunkedVertexSet chunks_b = ChunkedVertexSet::FromSorted(b);
-  ChunkedVertexSet out_chunks;
-  const double chunks_s = TimePerCall(
-      [&] { ChunkedVertexSet::And(chunks_a, chunks_b, &out_chunks); });
-
   const auto speedup = [&](double s) { return s > 0 ? merge_s / s : 0.0; };
-  std::cout << std::setw(8) << density << std::setw(6) << skew << std::setw(13)
-            << std::scientific << std::setprecision(3) << merge_s
-            << std::setw(13) << vec_vec_s << std::setw(13) << vec_bits_s
-            << std::setw(13) << bits_bits_s << std::setw(13) << chunks_s
-            << std::defaultfloat << std::setw(9) << std::fixed
-            << std::setprecision(1) << speedup(bits_bits_s) << "x"
-            << std::setw(9) << speedup(chunks_s) << "x\n"
-            << std::defaultfloat << std::setprecision(6);
+  std::cout << std::setw(8) << density << std::setw(6) << skew;
+  std::cout << std::scientific << std::setprecision(3);
+  for (double seconds : {merge_s, vec_vec_s, vec_bits_s, bits_bits_s}) {
+    std::cout << std::setw(13) << seconds;
+  }
+  std::cout << std::fixed << std::setprecision(1);
+  std::cout << std::setw(9) << speedup(bits_bits_s) << "x\n";
+  std::cout << std::defaultfloat << std::setprecision(6);
 
   std::ostringstream label;
   label << "density=" << density << " skew=" << skew;
@@ -129,109 +115,6 @@ void RunCell(VertexId universe, double density, std::size_t skew, Rng& rng) {
              Extra("vec_bitmap", density, skew, speedup(vec_bits_s)));
   g_json.Add(g_section, label.str() + " bitmap_bitmap", bits_bits_s,
              Extra("bitmap_bitmap", density, skew, speedup(bits_bits_s)));
-  g_json.Add(g_section, label.str() + " chunked", chunks_s,
-             Extra("chunked", density, skew, speedup(chunks_s)));
-}
-
-/// The 0.5-5% band the chunked container exists for, over a universe
-/// large enough (16 chunks) that the full bitmap pays for empty regions.
-/// `cluster_frac` < 1 confines both sets to a leading fraction of the
-/// universe — the id-locality real tidsets exhibit — so most chunks are
-/// empty: the chunked AND touches only the populated ones while the full
-/// bitmap still scans every word.
-void RunMidDensityCell(VertexId universe, double density, double cluster_frac,
-                       Rng& rng) {
-  const auto range = static_cast<VertexId>(universe * cluster_frac);
-  const auto k = static_cast<std::uint32_t>(universe * density);
-  if (k == 0 || k > range) return;
-  const VertexSet a = rng.SampleWithoutReplacement(range, k);
-  const VertexSet b = rng.SampleWithoutReplacement(range, k);
-
-  VertexSet out_vec;
-  const double merge_s =
-      TimePerCall([&] { scpm::SortedIntersect(a, b, &out_vec); });
-
-  const VertexBitset bits_a = VertexBitset::FromSorted(a, universe);
-  const VertexBitset bits_b = VertexBitset::FromSorted(b, universe);
-  VertexBitset out_bits(universe);
-  const double bits_s = TimePerCall(
-      [&] { VertexBitset::And(bits_a, bits_b, &out_bits); });
-  // What a consumer of a below-the-knee result actually pays: the AND
-  // plus the full-universe ctz scan to get the sorted ids back. The
-  // chunked timings below include their (per-populated-chunk)
-  // materialization already, so this is the like-for-like row.
-  const double bits_mat_s = TimePerCall([&] {
-    VertexBitset::And(bits_a, bits_b, &out_bits);
-    out_vec.clear();
-    out_bits.AppendTo(&out_vec);
-  });
-
-  const ChunkedVertexSet chunks_a = ChunkedVertexSet::FromSorted(a);
-  const ChunkedVertexSet chunks_b = ChunkedVertexSet::FromSorted(b);
-  ChunkedVertexSet out_chunks;
-  const double chunks_s = TimePerCall(
-      [&] { ChunkedVertexSet::And(chunks_a, chunks_b, &out_chunks); });
-
-  const char* layout = cluster_frac < 1.0 ? "clustered" : "uniform";
-  std::cout << std::setw(8) << density << std::setw(11) << layout
-            << std::setw(13) << std::scientific << std::setprecision(3)
-            << merge_s << std::setw(13) << bits_s << std::setw(13)
-            << bits_mat_s << std::setw(13) << chunks_s << std::defaultfloat
-            << std::fixed << std::setprecision(1) << std::setw(8)
-            << (chunks_s > 0 ? merge_s / chunks_s : 0.0) << "x"
-            << std::setw(8) << (chunks_s > 0 ? bits_mat_s / chunks_s : 0.0)
-            << "x\n"
-            << std::defaultfloat << std::setprecision(6);
-
-  std::ostringstream label;
-  label << "density=" << density << " " << layout;
-  g_json.Add(g_section, label.str() + " merge", merge_s,
-             Extra("merge", density, 1, 1.0));
-  g_json.Add(g_section, label.str() + " bitmap_bitmap", bits_s,
-             Extra("bitmap_bitmap", density, 1,
-                   bits_s > 0 ? merge_s / bits_s : 0.0));
-  g_json.Add(g_section, label.str() + " bitmap_materialized", bits_mat_s,
-             Extra("bitmap_materialized", density, 1,
-                   bits_mat_s > 0 ? merge_s / bits_mat_s : 0.0));
-  g_json.Add(g_section, label.str() + " chunked", chunks_s,
-             Extra("chunked", density, 1,
-                   chunks_s > 0 ? merge_s / chunks_s : 0.0));
-}
-
-/// Word kernels under the active dispatch path vs the forced-scalar
-/// table: the same buffers, the same results, only the inner loop
-/// differs.
-void RunSimdAb(VertexId universe, double density, Rng& rng) {
-  const auto k = static_cast<std::uint32_t>(universe * density);
-  const VertexSet a = rng.SampleWithoutReplacement(universe, k);
-  const VertexSet b = rng.SampleWithoutReplacement(universe, k);
-  const VertexBitset bits_a = VertexBitset::FromSorted(a, universe);
-  const VertexBitset bits_b = VertexBitset::FromSorted(b, universe);
-  VertexBitset out_bits(universe);
-
-  const std::string active = scpm::SimdDispatchName();
-  double seconds[2] = {0.0, 0.0};  // [0]=active, [1]=scalar
-  for (int pass = 0; pass < 2; ++pass) {
-    scpm::SetSimdDispatch(pass == 0);
-    seconds[pass] = TimePerCall(
-        [&] { VertexBitset::And(bits_a, bits_b, &out_bits); });
-  }
-  scpm::SetSimdDispatch(true);
-
-  const double speedup = seconds[0] > 0 ? seconds[1] / seconds[0] : 0.0;
-  std::cout << std::setw(8) << density << std::setw(13) << std::scientific
-            << std::setprecision(3) << seconds[1] << std::setw(13)
-            << seconds[0] << std::defaultfloat << std::fixed
-            << std::setprecision(2) << std::setw(9) << speedup << "x  ("
-            << active << ")\n"
-            << std::defaultfloat << std::setprecision(6);
-
-  std::ostringstream label;
-  label << "density=" << density;
-  g_json.Add(g_section, label.str() + " bmp_and scalar", seconds[1],
-             Extra("bmp_and", density, 1, 1.0, "scalar"));
-  g_json.Add(g_section, label.str() + " bmp_and " + active, seconds[0],
-             Extra("bmp_and", density, 1, speedup, active.c_str()));
 }
 
 /// End-to-end intersection-dominated workload: Eclat over a dense
@@ -300,50 +183,22 @@ int main() {
   scpm::bench::Banner(
       "Hybrid vertex-set intersection kernels",
       "density x skew sweep: merge vs vec/vec vs vec/bitmap vs "
-      "bitmap/bitmap vs chunked; mid-density chunked band; SIMD A/B");
+      "bitmap/bitmap; Eclat end-to-end");
   const double scale = scpm::bench::Scale();
   const VertexId universe = std::max<VertexId>(
       1u << 14, static_cast<VertexId>((1u << 17) * scale));
-  std::cout << "universe: " << universe << " vertices, simd dispatch: "
-            << scpm::SimdDispatchName() << "\n";
+  std::cout << "universe: " << universe << " vertices\n";
   Rng rng(7);
 
   g_section = "intersection kernels";
   std::cout << std::setw(8) << "density" << std::setw(6) << "skew"
             << std::setw(13) << "merge(s)" << std::setw(13) << "vec/vec(s)"
             << std::setw(13) << "vec/bmp(s)" << std::setw(13) << "bmp/bmp(s)"
-            << std::setw(13) << "chunked(s)" << std::setw(10) << "bmp spd"
-            << std::setw(10) << "chunk spd\n";
+            << std::setw(10) << "bmp spd\n";
   for (double density : {0.001, 0.01, 0.05, 0.1, 0.2}) {
     for (std::size_t skew : {1u, 8u, 64u}) {
       RunCell(universe, density, skew, rng);
     }
-  }
-
-  // Mid-density band over a 16-chunk universe: the regime the chunked
-  // container targets (1-3% density), uniform and clustered layouts.
-  g_section = "mid-density chunked band";
-  scpm::bench::SectionHeader(g_section);
-  const VertexId mid_universe = std::max<VertexId>(
-      1u << 18, static_cast<VertexId>((1u << 20) * scale));
-  std::cout << "universe: " << mid_universe << " vertices\n"
-            << std::setw(8) << "density" << std::setw(11) << "layout"
-            << std::setw(13) << "merge(s)" << std::setw(13) << "bmp/bmp(s)"
-            << std::setw(13) << "bmp+mat(s)" << std::setw(13) << "chunked(s)"
-            << std::setw(9) << "vs merge" << std::setw(9) << "vs bmp+m\n";
-  for (double density : {0.01, 0.02, 0.03}) {
-    for (double cluster_frac : {1.0, 0.25}) {
-      RunMidDensityCell(mid_universe, density, cluster_frac, rng);
-    }
-  }
-
-  // SIMD dispatch A/B over the dense word kernel.
-  g_section = "simd word kernels";
-  scpm::bench::SectionHeader(g_section);
-  std::cout << std::setw(8) << "density" << std::setw(13) << "scalar(s)"
-            << std::setw(13) << "active(s)" << std::setw(10) << "speedup\n";
-  for (double density : {0.05, 0.2}) {
-    RunSimdAb(universe, density, rng);
   }
 
   RunEclatScenario(universe / 4);

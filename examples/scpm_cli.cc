@@ -22,14 +22,9 @@
 //   --intra-min 512    |G(S)| at which one coverage search decomposes
 //                      into parallel branch tasks (0 = never)
 //   --intra-depth 12   decomposition depth of the intra-search tasks
-//   --hybrid 1         hybrid sparse/chunked/dense vertex-set storage
-//                      (0 = pure sorted-vector kernels; output is
-//                      identical)
-//   --simd 1           SIMD word-kernel dispatch (0 pins the scalar
-//                      path; output is identical — A/B escape hatch)
-//   --chunked 1        roaring-style chunked mid-density representation
-//                      (0 = two-way sparse/dense rule; output is
-//                      identical)
+//   --hybrid 1         hybrid sparse-vector/dense-bitmap vertex-set
+//                      storage (0 = pure sorted-vector kernels; output
+//                      is identical)
 //   --top-n 10         rows printed per ranking table
 //
 // Streaming / anytime options (the frontier engine):
@@ -68,7 +63,6 @@
 #include "core/statistics.h"
 #include "graph/io.h"
 #include "nullmodel/expectation.h"
-#include "util/simd_ops.h"
 #include "util/timer.h"
 
 namespace {
@@ -79,7 +73,7 @@ void Usage() {
                "[--delta-min D] [--top-k K] [--scope topk|maximal] "
                "[--order dfs|bfs] [--threads T] [--batch-grain W] "
                "[--intra-min U] [--intra-depth D] [--hybrid 0|1] "
-               "[--simd 0|1] [--chunked 0|1] [--top-n N] "
+               "[--top-n N] "
                "[--sink accumulate|jsonl] [--out FILE] [--deadline-ms MS] "
                "[--max-evals N] [--max-patterns N] [--checkpoint FILE] "
                "[--checkpoint-interval-ms MS] [--ckpt-format text|binary] "
@@ -117,12 +111,8 @@ void Help() {
       "  --intra-min U      |G(S)| at which one coverage search decomposes\n"
       "                     into parallel branch tasks; 0 = never (512)\n"
       "  --intra-depth D    decomposition depth of intra-search tasks (12)\n"
-      "  --hybrid B         hybrid sparse/chunked/dense vertex sets; 0 =\n"
-      "                     pure sorted-vector kernels (1)\n"
-      "  --simd B           SIMD word-kernel dispatch; 0 pins the scalar\n"
-      "                     path (1)\n"
-      "  --chunked B        roaring-style chunked mid-density sets; 0 =\n"
-      "                     two-way sparse/dense rule (1)\n"
+      "  --hybrid B         hybrid sparse-vector/dense-bitmap vertex sets;\n"
+      "                     0 = pure sorted-vector kernels (1)\n"
       "\n"
       "Output options:\n"
       "  --top-n N          rows printed per ranking table (10)\n"
@@ -231,10 +221,6 @@ int main(int argc, char** argv) {
           static_cast<std::uint32_t>(std::atoi(value));
     } else if (flag == "--hybrid") {
       options.use_hybrid_sets = std::atoi(value) != 0;
-    } else if (flag == "--simd") {
-      request.simd = std::atoi(value) != 0;
-    } else if (flag == "--chunked") {
-      request.chunked = std::atoi(value) != 0;
     } else if (flag == "--top-n") {
       top_n = static_cast<std::size_t>(std::atoll(value));
     } else if (flag == "--sink") {
@@ -312,7 +298,6 @@ int main(int argc, char** argv) {
       }
     };
   }
-  request.ApplyProcessToggles();
   scpm::Status valid = request.Validate();
   if (!valid.ok()) {
     std::cerr << "invalid request: " << valid << "\n";
@@ -368,17 +353,10 @@ int main(int argc, char** argv) {
   }
   const scpm::MiningRun& run = response->run;
 
-  // The dispatch path and representation histogram ride on the counters
-  // line so bench JSON rows scraped from it are attributable to a kernel
-  // variant.
   info << "mined " << run.emitted << " attribute sets / "
        << run.patterns_emitted << " patterns in " << timer.ElapsedSeconds()
        << " s (" << (run.exhausted ? "exhausted" : "budget cut") << ")\n"
-       << "counters: " << scpm::FormatScpmCounters(run.counters)
-       << " simd=" << scpm::SimdDispatchName() << " reprs{dense="
-       << run.counters.dense_conversions
-       << " chunked=" << run.counters.chunked_conversions << "}"
-       << "\n\n";
+       << "counters: " << scpm::FormatScpmCounters(run.counters) << "\n\n";
 
   if (!run.exhausted) {
     info << "budget cut the run with " << run.frontier_entries

@@ -21,8 +21,6 @@
 #include "core/ckpt_codec.h"
 #include "graph/io.h"
 #include "server/server.h"
-#include "util/hybrid_set.h"
-#include "util/simd_ops.h"
 
 namespace {
 
@@ -32,8 +30,7 @@ void Usage() {
                "[--memo-mb MB] [--memo-shards S] [--slice-ms MS] "
                "[--slice-evals N] [--default-deadline-ms MS] "
                "[--state-dir PATH] [--checkpoint-interval-ms MS] "
-               "[--ckpt-format text|binary] [--dist-workers W] "
-               "[--simd 0|1] [--chunked 0|1]\n"
+               "[--ckpt-format text|binary] [--dist-workers W]\n"
                "run scpm_serve_cli --help for the full flag reference\n";
 }
 
@@ -96,9 +93,6 @@ void Help() {
       "                     job across W forked worker processes with\n"
       "                     leased, fault-tolerant batches (docs/DIST.md);\n"
       "                     0 = off (0)\n"
-      "  --simd B           process-wide SIMD word-kernel dispatch; 0\n"
-      "                     pins the scalar path (1)\n"
-      "  --chunked B        process-wide chunked mid-density sets (1)\n"
       "  --help             print this reference and exit 0\n"
       "\n"
       "SIGTERM/SIGINT drain cleanly: admissions stop, running queries are\n"
@@ -170,10 +164,6 @@ int main(int argc, char** argv) {
       options.ckpt_format = *parsed;
     } else if (flag == "--dist-workers") {
       options.dist_workers = static_cast<std::size_t>(std::atoll(value));
-    } else if (flag == "--simd") {
-      scpm::SetSimdDispatch(std::atoi(value) != 0);
-    } else if (flag == "--chunked") {
-      scpm::HybridVertexSet::SetChunkedEnabled(std::atoi(value) != 0);
     } else {
       std::cerr << "unknown flag: " << flag << "\n";
       Usage();

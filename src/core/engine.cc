@@ -461,10 +461,7 @@ class EngineRunner {
     run.counters.bitmap_intersections += total_.set_ops.bitmap_intersections;
     run.counters.galloping_intersections +=
         total_.set_ops.galloping_intersections;
-    run.counters.chunked_intersections +=
-        total_.set_ops.chunked_intersections;
     run.counters.dense_conversions += total_.set_ops.dense_conversions;
-    run.counters.chunked_conversions += total_.set_ops.chunked_conversions;
     run.memo_hits = total_.memo_hits;
     run.memo_misses = total_.memo_misses;
     run.emitted = emitted_;

@@ -341,7 +341,7 @@ class ScpmEngine {
 
   /// Fingerprint of the output-relevant options (thresholds, scope,
   /// ordering, pruning toggles, null-model presence) used to bind
-  /// checkpoints. Perf knobs (threads, grains, hybrid/simd toggles) are
+  /// checkpoints. Perf knobs (threads, grains, the hybrid toggle) are
   /// excluded: they never change what is mined.
   static std::uint64_t OptionsFingerprint(const ScpmOptions& options,
                                           bool has_null_model);

@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "util/fault.h"
-#include "util/hybrid_set.h"
-#include "util/simd_ops.h"
 
 namespace scpm {
 
@@ -22,11 +20,6 @@ Status MiningRequest::Validate() const {
         "checkpoint_interval_ms requires an on_checkpoint callback");
   }
   return Status::OK();
-}
-
-void MiningRequest::ApplyProcessToggles() const {
-  if (simd.has_value()) SetSimdDispatch(*simd);
-  if (chunked.has_value()) HybridVertexSet::SetChunkedEnabled(*chunked);
 }
 
 Result<std::unique_ptr<RequestSinks>> RequestSinks::Create(

@@ -3,7 +3,7 @@
 // The library (`ScpmMiner::Mine`), the CLI (`scpm_cli` flag parsing),
 // and the wire protocol (`ParseQuerySpec` in src/server/session.cc) all
 // historically built their own bundle of ScpmOptions + EngineBudget +
-// sink choice + process toggles, each with its own validation holes.
+// sink choice, each with its own validation holes.
 // MiningRequest is the single struct they now all produce, with a
 // single Validate(), and ExecuteRequest() is the single driver that
 // turns a request into a MiningResponse.
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,14 +52,6 @@ struct MiningRequest {
   /// kTopK: patterns retained.
   std::size_t sink_k = 10;
 
-  /// Process-wide kernel toggles (SIMD word-kernel dispatch, chunked
-  /// mid-density sets). Unset means "leave the process defaults alone".
-  /// They are process-global, so the CLI applies them and the server
-  /// applies them once at startup — per-query requests must leave them
-  /// unset (the wire binder rejects them).
-  std::optional<bool> simd;
-  std::optional<bool> chunked;
-
   /// Periodic durability: with both set, the engine hands `on_checkpoint`
   /// a cold (serializable) snapshot of the remaining frontier at wave
   /// boundaries at least `checkpoint_interval_ms` apart, while the run
@@ -74,10 +65,6 @@ struct MiningRequest {
   /// plus the request-level rules (jsonl needs a destination, sink_k
   /// and budget sanity).
   Status Validate() const;
-
-  /// Applies the simd/chunked toggles to the process. Callers that own
-  /// the process (CLIs) invoke this once before mining.
-  void ApplyProcessToggles() const;
 };
 
 /// Outcome of one request: the engine run (counters, budget outcome,

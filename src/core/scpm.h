@@ -137,17 +137,12 @@ struct ScpmCounters {
   /// Branch tasks the intra-search decompositions produced in total.
   std::uint64_t intra_branch_tasks = 0;
   /// Set-kernel dispatches of the hybrid representation (zero when
-  /// use_hybrid_sets is off): intersections that used a full-universe
-  /// bitmap operand, vector/vector intersections that galloped,
-  /// intersections with a chunked (roaring-style) operand, and the
-  /// vector -> bitmap / vector -> chunked materializations. Together the
-  /// two conversion counters form the set-representation histogram the
-  /// CLI prints. See SetOpStats.
+  /// use_hybrid_sets is off): intersections that used a bitmap operand,
+  /// vector/vector intersections that galloped, and vector -> bitmap
+  /// materializations. See SetOpStats.
   std::uint64_t bitmap_intersections = 0;
   std::uint64_t galloping_intersections = 0;
-  std::uint64_t chunked_intersections = 0;
   std::uint64_t dense_conversions = 0;
-  std::uint64_t chunked_conversions = 0;
 
   /// Field-wise accumulation — used by sliced runs to sum per-segment
   /// counters into a cumulative total.
@@ -161,9 +156,7 @@ struct ScpmCounters {
     intra_branch_tasks += other.intra_branch_tasks;
     bitmap_intersections += other.bitmap_intersections;
     galloping_intersections += other.galloping_intersections;
-    chunked_intersections += other.chunked_intersections;
     dense_conversions += other.dense_conversions;
-    chunked_conversions += other.chunked_conversions;
   }
 };
 

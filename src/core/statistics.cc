@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/simd_ops.h"
-
 namespace scpm {
 namespace {
 
@@ -54,9 +52,7 @@ std::string FormatScpmCounters(const ScpmCounters& counters) {
      << " intra_tasks=" << counters.intra_branch_tasks
      << " bitmap_isects=" << counters.bitmap_intersections
      << " gallop_isects=" << counters.galloping_intersections
-     << " chunked_isects=" << counters.chunked_intersections
-     << " dense_convs=" << counters.dense_conversions
-     << " chunked_convs=" << counters.chunked_conversions;
+     << " dense_convs=" << counters.dense_conversions;
   return os.str();
 }
 
@@ -71,12 +67,7 @@ std::string ScpmCountersJson(const ScpmCounters& counters) {
      << ",\"intra_branch_tasks\":" << counters.intra_branch_tasks
      << ",\"bitmap_intersections\":" << counters.bitmap_intersections
      << ",\"galloping_intersections\":" << counters.galloping_intersections
-     << ",\"chunked_intersections\":" << counters.chunked_intersections
-     << ",\"dense_conversions\":" << counters.dense_conversions
-     << ",\"chunked_conversions\":" << counters.chunked_conversions
-     // The active kernel variant, so every bench JSON row carrying these
-     // counters is attributable to a dispatch path.
-     << ",\"simd_dispatch\":\"" << SimdDispatchName() << "\"}";
+     << ",\"dense_conversions\":" << counters.dense_conversions << "}";
   return os.str();
 }
 
@@ -84,7 +75,7 @@ std::string ScpmCountersJson(const ScpmCounters& counters) {
 // this assert fires, a field was added or removed — update the two
 // functions together and bump the versions of the formats that embed
 // them (dist-result and scpm-dist-trailer).
-static_assert(sizeof(ScpmCounters) == 12 * sizeof(std::uint64_t),
+static_assert(sizeof(ScpmCounters) == 10 * sizeof(std::uint64_t),
               "ScpmCounters field list changed: update "
               "Write/ReadScpmCountersFields and the embedding formats");
 
@@ -95,8 +86,7 @@ std::ostream& WriteScpmCountersFields(std::ostream& os,
             << ' ' << c.coverage_candidates << ' ' << c.evaluation_batches
             << ' ' << c.intra_search_evaluations << ' '
             << c.intra_branch_tasks << ' ' << c.bitmap_intersections << ' '
-            << c.galloping_intersections << ' ' << c.chunked_intersections
-            << ' ' << c.dense_conversions << ' ' << c.chunked_conversions;
+            << c.galloping_intersections << ' ' << c.dense_conversions;
 }
 
 bool ReadScpmCountersFields(std::istream& is, ScpmCounters* c) {
@@ -105,8 +95,7 @@ bool ReadScpmCountersFields(std::istream& is, ScpmCounters* c) {
       c->attribute_sets_extended >> c->coverage_candidates >>
       c->evaluation_batches >> c->intra_search_evaluations >>
       c->intra_branch_tasks >> c->bitmap_intersections >>
-      c->galloping_intersections >> c->chunked_intersections >>
-      c->dense_conversions >> c->chunked_conversions);
+      c->galloping_intersections >> c->dense_conversions);
 }
 
 }  // namespace scpm

@@ -30,13 +30,12 @@ OutputSummary SummarizeOutput(const std::vector<AttributeSetStats>& stats);
 /// One-line human-readable rendering of the engine counters, e.g.
 /// "evaluated=12 reported=7 extended=5 candidates=3301 batches=4
 /// intra_evals=1 intra_tasks=33 bitmap_isects=90 gallop_isects=2
-/// chunked_isects=4 dense_convs=7 chunked_convs=2".
+/// dense_convs=7".
 std::string FormatScpmCounters(const ScpmCounters& counters);
 
-/// The same counters as a flat JSON object (keys match the field names)
-/// plus the active "simd_dispatch" tag; the bench smoke jobs embed this
-/// in their BENCH_*.json artifacts so the effort trajectory is tracked
-/// alongside the timings and attributable to a kernel variant.
+/// The same counters as a flat JSON object (keys match the field names);
+/// the bench smoke jobs embed this in their BENCH_*.json artifacts so the
+/// effort trajectory is tracked alongside the timings.
 std::string ScpmCountersJson(const ScpmCounters& counters);
 
 /// Appends every ScpmCounters field to `os` as " <value>" in declaration

@@ -588,20 +588,32 @@ bool TruncateToLines(const std::string& path, std::uint64_t lines) {
   return ::truncate(path.c_str(), static_cast<off_t>(offset)) == 0;
 }
 
+// Bumped whenever the ScpmCounters field list changes, so a trailer
+// written with another field list is rejected, not misread.
+constexpr std::uint64_t kTrailerVersion = 2;
+
 std::string EncodeTrailer(const ScpmCounters& c) {
   std::ostringstream os;
-  os << "scpm-dist-trailer 1";
+  os << "scpm-dist-trailer " << kTrailerVersion;
   WriteScpmCountersFields(os, c) << '\n';
   return os.str();
 }
 
-bool DecodeTrailer(const std::string& text, ScpmCounters* c) {
+Status DecodeTrailer(const std::string& text, ScpmCounters* c) {
   std::istringstream in(text);
   std::string magic;
   std::uint64_t version = 0;
-  return static_cast<bool>(in >> magic >> version) &&
-         magic == "scpm-dist-trailer" && version == 1 &&
-         ReadScpmCountersFields(in, c);
+  if (!(in >> magic >> version) || magic != "scpm-dist-trailer") {
+    return Status::IoError("no counter trailer");
+  }
+  if (version != kTrailerVersion) {
+    return Status::IoError("unsupported counter trailer version " +
+                           std::to_string(version));
+  }
+  if (!ReadScpmCountersFields(in, c)) {
+    return Status::IoError("malformed counter trailer");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -719,10 +731,9 @@ Result<MiningResponse> Mine(const AttributedGraph& graph,
           continue;
         }
         ScpmCounters cum;
-        if (!DecodeTrailer(q.trailer, &cum)) {
-          warnings.push_back(
-              "dist job snapshot has no readable counter trailer; "
-              "restarting from scratch");
+        if (Status st = DecodeTrailer(q.trailer, &cum); !st.ok()) {
+          warnings.push_back("dist job snapshot unreadable (" + st.ToString() +
+                             "); restarting from scratch");
           continue;
         }
         if (!TruncateToLines(request.jsonl_path, q.jsonl_lines)) {

@@ -14,6 +14,10 @@ namespace dist {
 
 namespace {
 
+// Bumped whenever the embedded ScpmCounters field list changes, so a
+// payload written with another field list is rejected, not misread.
+constexpr std::uint64_t kResultVersion = 2;
+
 const char* TypeName(FrameType type) {
   switch (type) {
     case FrameType::kBatch:
@@ -177,7 +181,7 @@ Result<BatchPayload> DecodeBatch(const std::string& text) {
 
 std::string EncodeResult(const ResultPayload& result) {
   std::ostringstream os;
-  os << "dist-result 1\n";
+  os << "dist-result " << kResultVersion << '\n';
   os << "exhausted " << (result.exhausted ? 1 : 0) << '\n';
   os << "counters";
   WriteScpmCountersFields(os, result.counters) << '\n';
@@ -219,8 +223,10 @@ Result<ResultPayload> DecodeResult(const std::string& text) {
   std::string tok;
   std::uint64_t version = 0;
   ResultPayload result;
-  if (!(in >> tok >> version) || tok != "dist-result" || version != 1) {
-    return bad("magic");
+  if (!(in >> tok >> version) || tok != "dist-result") return bad("magic");
+  if (version != kResultVersion) {
+    return Status::IoError("unsupported dist result payload version " +
+                           std::to_string(version));
   }
   int exhausted = 0;
   if (!(in >> tok >> exhausted) || tok != "exhausted") return bad("exhausted");

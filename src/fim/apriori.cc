@@ -11,8 +11,8 @@ namespace scpm {
 namespace {
 
 /// One itemset of the current level with its hybrid tidset (roots borrow
-/// the graph-owned tidsets; join results own theirs, chunked or dense
-/// past the density rule).
+/// the graph-owned tidsets; join results own theirs, dense past the
+/// density rule).
 struct LevelEntry {
   AttributeSet items;
   HybridVertexSet tidset;

@@ -5,8 +5,7 @@
 // provided as an independent reference implementation for Eclat (the test
 // suite checks they produce identical outputs) and for workloads where
 // breadth-first enumeration is preferable. Candidate tidset intersections
-// go through the same hybrid (sparse / chunked / dense-bitmap) kernels as
-// Eclat's.
+// go through the same hybrid (sparse / dense-bitmap) kernels as Eclat's.
 
 #ifndef SCPM_FIM_APRIORI_H_
 #define SCPM_FIM_APRIORI_H_

@@ -40,8 +40,8 @@ struct Context {
   VertexSet scratch;
 
   /// Presents a tidset to the visitor as a sorted vector (zero-copy when
-  /// sparse; chunked and dense tidsets materialize into the scratch
-  /// vector). Returns the visitor's verdict.
+  /// sparse; dense tidsets materialize into the scratch vector). Returns
+  /// the visitor's verdict.
   bool Visit(const AttributeSet& items, const Node& node) {
     if (node.tidset.sparse()) return visitor(items, node.tidset.sorted());
     scratch.clear();

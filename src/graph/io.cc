@@ -1,26 +1,63 @@
 #include "graph/io.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace scpm {
 namespace {
 
-/// Strips a trailing comment and surrounding whitespace.
-std::string CleanLine(const std::string& line) {
-  std::string out = line;
-  if (auto pos = out.find('#'); pos != std::string::npos) out.resize(pos);
-  while (!out.empty() && (out.back() == '\r' || out.back() == ' ' ||
-                          out.back() == '\t')) {
-    out.pop_back();
+/// `line` up to its '#' comment, if any.
+std::string_view StripComment(const std::string& line) {
+  return std::string_view(line).substr(0, line.find('#'));
+}
+
+/// Removes and returns the first blank-separated token of `*rest`; empty
+/// when none is left.
+std::string_view NextToken(std::string_view* rest) {
+  constexpr std::string_view kBlanks = " \t\r\v\f";
+  const std::size_t begin = rest->find_first_not_of(kBlanks);
+  if (begin == std::string_view::npos) {
+    *rest = {};
+    return {};
   }
-  std::size_t start = 0;
-  while (start < out.size() && (out[start] == ' ' || out[start] == '\t')) {
-    ++start;
+  const std::size_t end = rest->find_first_of(kBlanks, begin);
+  const std::string_view token = rest->substr(begin, end - begin);
+  rest->remove_prefix(end == std::string_view::npos ? rest->size() : end);
+  return token;
+}
+
+/// Parses one vertex-id token into `*id`. The error message omits the
+/// location; the caller adds it (LineError).
+Status ParseVertexId(std::string_view token, VertexId* id) {
+  // Echo at most 32 characters, so one huge token cannot make a huge
+  // error message.
+  const auto text = [token] { return std::string(token.substr(0, 32)); };
+  if (token.size() > 1 && token[0] == '-' &&
+      std::isdigit(static_cast<unsigned char>(token[1]))) {
+    return Status::IoError("negative vertex id " + text());
   }
-  return out.substr(start);
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc::result_out_of_range ||
+      (ec == std::errc() && ptr == end && value > kMaxLoadedVertexId)) {
+    return Status::IoError("vertex id " + text() + " too large (max " +
+                           std::to_string(kMaxLoadedVertexId) + ")");
+  }
+  if (ec != std::errc() || ptr != end) {
+    return Status::IoError("expected a vertex id, got '" + text() + "'");
+  }
+  *id = static_cast<VertexId>(value);
+  return Status::OK();
+}
+
+Status LineError(const std::string& path, std::size_t line_no,
+                 const std::string& what) {
+  return Status::IoError(path + ":" + std::to_string(line_no) + ": " + what);
 }
 
 }  // namespace
@@ -36,21 +73,19 @@ Result<Graph> LoadEdgeList(const std::string& path) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const std::string clean = CleanLine(line);
-    if (clean.empty()) continue;
-    std::istringstream ss(clean);
-    std::uint64_t u = 0, v = 0;
-    if (!(ss >> u >> v)) {
-      return Status::IoError(path + ":" + std::to_string(line_no) +
-                             ": expected 'u v'");
+    std::string_view rest = StripComment(line);
+    const std::string_view tu = NextToken(&rest);
+    if (tu.empty()) continue;  // blank or comment-only line
+    const std::string_view tv = NextToken(&rest);
+    if (tv.empty() || !NextToken(&rest).empty()) {
+      return LineError(path, line_no, "expected exactly 'u v'");
     }
-    if (u > kInvalidVertex - 1 || v > kInvalidVertex - 1) {
-      return Status::IoError(path + ":" + std::to_string(line_no) +
-                             ": vertex id too large");
-    }
-    edges.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v)});
-    max_id = std::max({max_id, static_cast<VertexId>(u),
-                       static_cast<VertexId>(v)});
+    VertexId u = 0, v = 0;
+    Status parsed = ParseVertexId(tu, &u);
+    if (parsed.ok()) parsed = ParseVertexId(tv, &v);
+    if (!parsed.ok()) return LineError(path, line_no, parsed.message());
+    edges.push_back({u, v});
+    max_id = std::max({max_id, u, v});
     any_vertex = true;
   }
   const VertexId n = any_vertex ? max_id + 1 : 0;
@@ -82,22 +117,19 @@ Result<AttributedGraph> LoadAttributedGraph(const std::string& graph_path,
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const std::string clean = CleanLine(line);
-    if (clean.empty()) continue;
-    std::istringstream ss(clean);
-    std::uint64_t v = 0;
-    if (!(ss >> v)) {
-      return Status::IoError(attr_path + ":" + std::to_string(line_no) +
-                             ": expected vertex id");
+    std::string_view rest = StripComment(line);
+    const std::string_view token = NextToken(&rest);
+    if (token.empty()) continue;  // blank or comment-only line
+    VertexId v = 0;
+    if (Status parsed = ParseVertexId(token, &v); !parsed.ok()) {
+      return LineError(attr_path, line_no, parsed.message());
     }
     if (v >= graph->NumVertices()) {
-      return Status::IoError(attr_path + ":" + std::to_string(line_no) +
-                             ": vertex id out of range");
+      return LineError(attr_path, line_no, "vertex id out of range");
     }
-    std::string name;
-    while (ss >> name) {
-      SCPM_RETURN_IF_ERROR(
-          builder.AddVertexAttribute(static_cast<VertexId>(v), name));
+    for (std::string_view name = NextToken(&rest); !name.empty();
+         name = NextToken(&rest)) {
+      SCPM_RETURN_IF_ERROR(builder.AddVertexAttribute(v, name));
     }
   }
   return builder.Build();

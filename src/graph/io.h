@@ -1,7 +1,7 @@
 // Plain-text persistence for graphs and attributed graphs.
 //
-// Edge-list format: one "u v" pair per line; '#' starts a comment; vertex
-// count is max id + 1 unless given explicitly.
+// Edge-list format: exactly one "u v" pair per line; '#' starts a comment;
+// vertex count is max id + 1 unless given explicitly.
 // Attribute format: one "v name1 name2 ..." line per vertex (whitespace
 // separated; vertices may be omitted or repeated).
 
@@ -17,7 +17,14 @@
 
 namespace scpm {
 
-/// Loads an edge list; vertex count is inferred as max id + 1.
+/// Largest vertex id the loaders accept (about 67M vertices). The vertex
+/// count is max id + 1 and every per-vertex array is sized by it, so this
+/// cap bounds what a single input line can make the loader allocate.
+inline constexpr VertexId kMaxLoadedVertexId = (VertexId{1} << 26) - 1;
+
+/// Loads an edge list; vertex count is inferred as max id + 1. A line
+/// that is not exactly two ids in [0, kMaxLoadedVertexId] is an IoError
+/// naming the file and line.
 Result<Graph> LoadEdgeList(const std::string& path);
 
 /// Writes "u v" lines in canonical order.

@@ -108,7 +108,6 @@ Result<InducedSubgraph> SubgraphWorkspace::Build(const Graph& parent,
 
 Result<InducedSubgraph> SubgraphWorkspace::Build(const Graph& parent,
                                                  HybridVertexSet vertices) {
-  if (vertices.chunked()) return BuildChunked(parent, vertices);
   if (!vertices.dense()) return Build(parent, vertices.TakeVector());
   const VertexBitset& bits = vertices.bits();
   if (bits.universe() > parent.NumVertices()) {
@@ -148,105 +147,6 @@ Result<InducedSubgraph> SubgraphWorkspace::Build(const Graph& parent,
     for (VertexId w : parent.Neighbors(global)) {
       if (w < bits.universe() && bits.Test(w)) {
         csr.adjacency.push_back(local_of(w));
-      }
-    }
-    csr.offsets.push_back(csr.adjacency.size());
-  }
-  return InducedSubgraph(
-      Graph(std::move(csr.offsets), std::move(csr.adjacency)),
-      std::move(global_ids));
-}
-
-Result<InducedSubgraph> SubgraphWorkspace::BuildChunked(
-    const Graph& parent, const HybridVertexSet& vertices) {
-  const ChunkedVertexSet& cs = vertices.chunk_set();
-  const std::vector<ChunkedVertexSet::Chunk>& chunks = cs.chunks();
-
-  // Chunked sets carry no universe; bound-check via the largest member
-  // (chunks are key-sorted and non-empty, so it lives in the last one).
-  if (!chunks.empty()) {
-    const ChunkedVertexSet::Chunk& last = chunks.back();
-    VertexId max_low = 0;
-    if (last.dense()) {
-      std::size_t w = ChunkedVertexSet::kChunkWords;
-      while (w > 0 && last.words[w - 1] == 0) --w;
-      max_low = static_cast<VertexId>(
-          (w - 1) * 64 + (63 - std::countl_zero(last.words[w - 1])));
-    } else {
-      max_low = last.values.back();
-    }
-    const VertexId max_id =
-        (static_cast<VertexId>(last.key) << ChunkedVertexSet::kChunkBits) +
-        max_low;
-    if (max_id >= parent.NumVertices()) {
-      return Status::InvalidArgument("induced vertex id out of range");
-    }
-  }
-
-  // Rank tables: local id of member g = members in earlier chunks +
-  // in-chunk rank (word prefixes for dense chunks, binary search for
-  // sparse ones). Built in one pass over the chunk payloads — no
-  // materialized vector, no full-universe stamp pass.
-  chunk_base_.assign(chunks.size() + 1, 0);
-  chunk_rank_pos_.assign(chunks.size(), 0);
-  chunk_word_rank_.clear();
-  VertexId running = 0;
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    chunk_base_[c] = running;
-    if (chunks[c].dense()) {
-      chunk_rank_pos_[c] = static_cast<VertexId>(chunk_word_rank_.size());
-      VertexId in_chunk = 0;
-      for (std::size_t w = 0; w < ChunkedVertexSet::kChunkWords; ++w) {
-        chunk_word_rank_.push_back(in_chunk);
-        in_chunk += static_cast<VertexId>(std::popcount(chunks[c].words[w]));
-      }
-      running += in_chunk;
-    } else {
-      running += chunks[c].count;
-    }
-  }
-  chunk_base_[chunks.size()] = running;
-
-  VertexSet global_ids;
-  global_ids.reserve(cs.size());
-  cs.AppendTo(&global_ids);
-
-  CsrBuffers csr;
-  if (!free_.empty()) {
-    csr = std::move(free_.back());
-    free_.pop_back();
-  }
-  csr.offsets.clear();
-  csr.adjacency.clear();
-  csr.offsets.reserve(global_ids.size() + 1);
-  csr.offsets.push_back(0);
-  for (VertexId global : global_ids) {
-    // Neighbors are sorted, so one forward chunk cursor per row resolves
-    // every membership probe to the right chunk in O(deg + chunks).
-    std::size_t ci = 0;
-    for (VertexId w : parent.Neighbors(global)) {
-      const std::uint32_t key = w >> ChunkedVertexSet::kChunkBits;
-      while (ci < chunks.size() && chunks[ci].key < key) ++ci;
-      if (ci == chunks.size()) break;  // later neighbors are larger still
-      const ChunkedVertexSet::Chunk& chunk = chunks[ci];
-      if (chunk.key != key) continue;
-      const std::uint32_t low =
-          w & (ChunkedVertexSet::kChunkCapacity - 1);
-      if (chunk.dense()) {
-        const std::uint64_t word = chunk.words[low / 64];
-        if (((word >> (low % 64)) & 1u) == 0) continue;
-        const std::uint64_t below =
-            word & ((std::uint64_t{1} << (low % 64)) - 1);
-        csr.adjacency.push_back(
-            chunk_base_[ci] + chunk_word_rank_[chunk_rank_pos_[ci] + low / 64] +
-            static_cast<VertexId>(std::popcount(below)));
-      } else {
-        auto it = std::lower_bound(chunk.values.begin(), chunk.values.end(),
-                                   static_cast<std::uint16_t>(low));
-        if (it == chunk.values.end() || *it != low) continue;
-        csr.adjacency.push_back(
-            chunk_base_[ci] +
-            static_cast<VertexId>(it - chunk.values.begin()));
       }
     }
     csr.offsets.push_back(csr.adjacency.size());

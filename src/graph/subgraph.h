@@ -83,11 +83,8 @@ class SubgraphWorkspace {
 
   /// Hybrid-set entry point: a sparse set delegates to the vector build; a
   /// dense set keeps the bitmap as the membership structure and resolves
-  /// local ids by rank (prefix popcounts); a chunked set walks its chunk
-  /// list directly — membership is a per-chunk bit probe or u16 search
-  /// and local ids come from per-chunk rank tables, so the mid-density
-  /// band skips the vector materialization and the full stamp-map pass.
-  /// All three produce the identical subgraph. `vertices` is consumed.
+  /// local ids by rank (prefix popcounts). Both produce the identical
+  /// subgraph. `vertices` is consumed.
   Result<InducedSubgraph> Build(const Graph& parent, HybridVertexSet vertices);
 
   /// Reclaims the CSR buffers of a subgraph produced by Build; the
@@ -113,17 +110,6 @@ class SubgraphWorkspace {
   // build's bitmap; local id of g = rank_prefix_[g/64] + popcount of the
   // lower bits of g's word.
   std::vector<VertexId> rank_prefix_;
-
-  // Chunked-build rank tables. chunk_base_[c] = members in chunks [0, c);
-  // dense chunks additionally get 1024 per-word in-chunk prefixes at
-  // chunk_word_rank_[chunk_rank_pos_[c] ...]; sparse chunks rank by
-  // binary search over their u16 payload.
-  std::vector<VertexId> chunk_base_;
-  std::vector<VertexId> chunk_rank_pos_;
-  std::vector<VertexId> chunk_word_rank_;
-
-  Result<InducedSubgraph> BuildChunked(const Graph& parent,
-                                       const HybridVertexSet& vertices);
 };
 
 }  // namespace scpm

@@ -10,7 +10,6 @@
 #include "graph/attributed_graph.h"
 #include "server/journal.h"
 #include "util/fault.h"
-#include "util/simd_ops.h"
 
 namespace scpm {
 
@@ -106,10 +105,7 @@ JsonValue CountersToJson(const ScpmCounters& counters) {
   out.Set("bitmap_intersections", JsonValue(counters.bitmap_intersections));
   out.Set("galloping_intersections",
           JsonValue(counters.galloping_intersections));
-  out.Set("chunked_intersections", JsonValue(counters.chunked_intersections));
   out.Set("dense_conversions", JsonValue(counters.dense_conversions));
-  out.Set("chunked_conversions", JsonValue(counters.chunked_conversions));
-  out.Set("simd_dispatch", JsonValue(SimdDispatchName()));
   return out;
 }
 
@@ -126,8 +122,7 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
     // decay to 0 / "" / false and mine something else than intended.
     const bool string_key =
         key == "scope" || key == "order" || key == "sink" || key == "out";
-    const bool bool_key = key == "collect_patterns" || key == "hybrid" ||
-                          key == "simd" || key == "chunked";
+    const bool bool_key = key == "collect_patterns" || key == "hybrid";
     if (string_key && !value.is_string()) {
       return Status::InvalidArgument("query member " + key +
                                      " must be a string");
@@ -136,10 +131,10 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
       return Status::InvalidArgument("query member " + key +
                                      " must be a boolean");
     }
-    if (!string_key && !bool_key && !value.is_number()) {
-      return Status::InvalidArgument("query member " + key +
-                                     " must be a number");
-    }
+    // Every other member is a number. That is checked after the dispatch
+    // below, so an unknown member is reported as unknown whatever its
+    // value.
+    const bool number_ok = string_key || bool_key || value.is_number();
     const auto number = [&v = value]() { return v.AsNumber(); };
     if (key == "gamma") {
       spec.options.quasi_clique.gamma = number();
@@ -188,13 +183,6 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
           static_cast<std::uint32_t>(number());
     } else if (key == "hybrid") {
       spec.options.use_hybrid_sets = value.AsBool();
-    } else if (key == "simd" || key == "chunked") {
-      // MiningRequest can carry these, but they flip process-global
-      // kernel dispatch — one query must not change how every other
-      // concurrent query executes.
-      return Status::InvalidArgument(
-          "query member " + key +
-          " is process-global; set it on the server command line");
     } else if (key == "deadline_ms") {
       spec.budget.deadline_ms = static_cast<std::uint64_t>(number());
     } else if (key == "max_evals") {
@@ -220,6 +208,10 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
       spec.max_rows = static_cast<std::size_t>(number());
     } else {
       return Status::InvalidArgument("unknown query member: " + key);
+    }
+    if (!number_ok) {
+      return Status::InvalidArgument("query member " + key +
+                                     " must be a number");
     }
   }
   if (spec.sink == QuerySpec::Sink::kJsonl && spec.jsonl_path.empty()) {

@@ -81,8 +81,7 @@ struct QuerySpec : MiningRequest {
 /// Decodes the "query" object of a submit request into a QuerySpec — a
 /// thin JSON -> MiningRequest binder. Unknown members are an error
 /// (they are silent typos otherwise); absent members keep the defaults
-/// above. simd / chunked are process-global toggles, not per-query
-/// options, and are rejected here with a pointed message.
+/// above.
 Result<QuerySpec> ParseQuerySpec(const JsonValue& query);
 
 /// Inverse of ParseQuerySpec: the wire object that re-parses to `spec`.

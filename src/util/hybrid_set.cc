@@ -1,12 +1,9 @@
 #include "util/hybrid_set.h"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 #include <utility>
 
 #include "util/logging.h"
-#include "util/simd_ops.h"
 #include "util/sorted_ops.h"
 
 namespace scpm {
@@ -22,31 +19,27 @@ VertexBitset VertexBitset::FromSorted(const VertexSet& v, VertexId universe) {
   return out;
 }
 
-std::size_t VertexBitset::Count() const {
-  return ActiveSimdOps().popcount_words(words_.data(), words_.size());
-}
-
 std::size_t VertexBitset::And(const VertexBitset& a, const VertexBitset& b,
                               VertexBitset* out) {
   SCPM_CHECK(a.universe_ == b.universe_) << "bitmap universes differ";
   if (out->universe_ != a.universe_) *out = VertexBitset(a.universe_);
-  return ActiveSimdOps().and_words(a.words_.data(), b.words_.data(),
-                                   out->words_.data(), a.words_.size());
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < a.words_.size(); ++w) {
+    const std::uint64_t v = a.words_[w] & b.words_[w];
+    out->words_[w] = v;
+    count += std::popcount(v);
+  }
+  return count;
 }
 
 std::size_t VertexBitset::AndCount(const VertexBitset& a,
                                    const VertexBitset& b) {
   SCPM_CHECK(a.universe_ == b.universe_) << "bitmap universes differ";
-  return ActiveSimdOps().and_count_words(a.words_.data(), b.words_.data(),
-                                         a.words_.size());
-}
-
-std::size_t VertexBitset::AndNot(const VertexBitset& a, const VertexBitset& b,
-                                 VertexBitset* out) {
-  SCPM_CHECK(a.universe_ == b.universe_) << "bitmap universes differ";
-  if (out->universe_ != a.universe_) *out = VertexBitset(a.universe_);
-  return ActiveSimdOps().andnot_words(a.words_.data(), b.words_.data(),
-                                      out->words_.data(), a.words_.size());
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < a.words_.size(); ++w) {
+    count += std::popcount(a.words_[w] & b.words_[w]);
+  }
+  return count;
 }
 
 void VertexBitset::AppendTo(VertexSet* out) const {
@@ -75,267 +68,9 @@ void IntersectSortedWithBits(const VertexSet& sorted, const VertexBitset& bits,
   }
 }
 
-// -------------------------------------------------------- ChunkedVertexSet
-
-namespace {
-
-bool ChunkTest(const ChunkedVertexSet::Chunk& c, std::uint16_t low) {
-  if (c.dense()) return (c.words[low / 64] >> (low % 64)) & 1u;
-  return std::binary_search(c.values.begin(), c.values.end(), low);
-}
-
-/// Demotes a chunk computed into its bitmap payload back to the sorted
-/// u16 array when its cardinality falls below the per-chunk knee — the
-/// same canonical-form rule FromSorted applies, so chunk payloads are a
-/// pure function of the chunk cardinality everywhere. The word buffer's
-/// capacity is kept for reuse by the next intersection into this slot.
-void CanonicalizeChunkFromWords(ChunkedVertexSet::Chunk* c) {
-  if (c->dense()) return;
-  c->values.reserve(c->count);
-  for (std::size_t w = 0; w < c->words.size(); ++w) {
-    std::uint64_t bits = c->words[w];
-    while (bits != 0) {
-      const int tz = std::countr_zero(bits);
-      c->values.push_back(static_cast<std::uint16_t>(w * 64 + tz));
-      bits &= bits - 1;
-    }
-  }
-  // The stale word buffer is intentionally kept: Chunk::dense() reads
-  // only `count`, and the buffer's capacity feeds the next kernel that
-  // recycles this slot.
-}
-
-/// Reuses (or grows) chunks[index] as the target of a chunk kernel:
-/// payload buffers keep their capacity across calls, so intersections
-/// into a recycled ChunkedVertexSet with a stable (or shrinking-prefix)
-/// populated-chunk count allocate nothing — that, not the AND itself,
-/// would otherwise dominate the mid-density kernels. (The final
-/// resize(used) does free slots past the result's chunk count, so a
-/// shrink-then-grow sequence re-pays their allocation; kept simple
-/// because chunks() must stay a plain vector for the walk kernels.)
-ChunkedVertexSet::Chunk& RecycleChunkSlot(
-    std::vector<ChunkedVertexSet::Chunk>* chunks, std::size_t index,
-    std::uint32_t key) {
-  if (index == chunks->size()) chunks->emplace_back();
-  ChunkedVertexSet::Chunk& c = (*chunks)[index];
-  c.key = key;
-  c.count = 0;
-  c.values.clear();
-  return c;
-}
-
-/// Sizes a recycled chunk's word buffer for a dense kernel. Only the
-/// first use of a slot pays the allocation (and value-init); afterwards
-/// the resize is a no-op and the kernel overwrites every word it reads.
-void PrepareChunkWords(ChunkedVertexSet::Chunk* c) {
-  c->words.resize(ChunkedVertexSet::kChunkWords);
-}
-
-}  // namespace
-
-ChunkedVertexSet ChunkedVertexSet::FromSorted(const VertexSet& v) {
-  ChunkedVertexSet out;
-  out.size_ = v.size();
-  std::size_t i = 0;
-  while (i < v.size()) {
-    const std::uint32_t key = v[i] >> kChunkBits;
-    std::size_t j = i + 1;
-    while (j < v.size() && (v[j] >> kChunkBits) == key) ++j;
-    Chunk c;
-    c.key = key;
-    c.count = static_cast<std::uint32_t>(j - i);
-    if (c.count >= kChunkDenseMin) {
-      c.words.assign(kChunkWords, 0);
-      for (std::size_t k = i; k < j; ++k) {
-        const auto low = static_cast<std::uint16_t>(v[k]);
-        c.words[low / 64] |= std::uint64_t{1} << (low % 64);
-      }
-    } else {
-      c.values.reserve(c.count);
-      for (std::size_t k = i; k < j; ++k) {
-        c.values.push_back(static_cast<std::uint16_t>(v[k]));
-      }
-    }
-    out.chunks_.push_back(std::move(c));
-    i = j;
-  }
-  return out;
-}
-
-bool ChunkedVertexSet::Test(VertexId v) const {
-  const std::uint32_t key = v >> kChunkBits;
-  const auto it = std::lower_bound(
-      chunks_.begin(), chunks_.end(), key,
-      [](const Chunk& c, std::uint32_t k) { return c.key < k; });
-  if (it == chunks_.end() || it->key != key) return false;
-  return ChunkTest(*it, static_cast<std::uint16_t>(v));
-}
-
-void ChunkedVertexSet::AppendTo(VertexSet* out) const {
-  for (const Chunk& c : chunks_) {
-    const VertexId base = static_cast<VertexId>(c.key) << kChunkBits;
-    if (c.dense()) {
-      for (std::size_t w = 0; w < c.words.size(); ++w) {
-        std::uint64_t bits = c.words[w];
-        while (bits != 0) {
-          const int tz = std::countr_zero(bits);
-          out->push_back(base + static_cast<VertexId>(w * 64 + tz));
-          bits &= bits - 1;
-        }
-      }
-    } else {
-      for (std::uint16_t low : c.values) out->push_back(base | low);
-    }
-  }
-}
-
-std::size_t ChunkedVertexSet::And(const ChunkedVertexSet& a,
-                                  const ChunkedVertexSet& b,
-                                  ChunkedVertexSet* out) {
-  out->size_ = 0;
-  std::size_t used = 0;
-  const SimdOps& ops = ActiveSimdOps();
-  std::size_t ia = 0, ib = 0;
-  while (ia < a.chunks_.size() && ib < b.chunks_.size()) {
-    const Chunk& ca = a.chunks_[ia];
-    const Chunk& cb = b.chunks_[ib];
-    if (ca.key < cb.key) {
-      ++ia;
-      continue;
-    }
-    if (cb.key < ca.key) {
-      ++ib;
-      continue;
-    }
-    Chunk& c = RecycleChunkSlot(&out->chunks_, used, ca.key);
-    if (ca.dense() && cb.dense()) {
-      PrepareChunkWords(&c);
-      c.count = static_cast<std::uint32_t>(ops.and_words(
-          ca.words.data(), cb.words.data(), c.words.data(), kChunkWords));
-      CanonicalizeChunkFromWords(&c);
-    } else if (ca.dense() != cb.dense()) {
-      const Chunk& sp = ca.dense() ? cb : ca;
-      const Chunk& de = ca.dense() ? ca : cb;
-      c.values.reserve(sp.values.size());
-      for (std::uint16_t low : sp.values) {
-        if ((de.words[low / 64] >> (low % 64)) & 1u) c.values.push_back(low);
-      }
-      c.count = static_cast<std::uint32_t>(c.values.size());
-    } else {
-      c.count = static_cast<std::uint32_t>(
-          SortedIntersectAppend(ca.values, cb.values, &c.values));
-    }
-    if (c.count > 0) {
-      out->size_ += c.count;
-      ++used;
-    }
-    ++ia;
-    ++ib;
-  }
-  out->chunks_.resize(used);
-  return out->size_;
-}
-
-std::size_t ChunkedVertexSet::AndCount(const ChunkedVertexSet& a,
-                                       const ChunkedVertexSet& b) {
-  const SimdOps& ops = ActiveSimdOps();
-  std::size_t count = 0;
-  std::size_t ia = 0, ib = 0;
-  while (ia < a.chunks_.size() && ib < b.chunks_.size()) {
-    const Chunk& ca = a.chunks_[ia];
-    const Chunk& cb = b.chunks_[ib];
-    if (ca.key < cb.key) {
-      ++ia;
-      continue;
-    }
-    if (cb.key < ca.key) {
-      ++ib;
-      continue;
-    }
-    if (ca.dense() && cb.dense()) {
-      count +=
-          ops.and_count_words(ca.words.data(), cb.words.data(), kChunkWords);
-    } else if (ca.dense() != cb.dense()) {
-      const Chunk& sp = ca.dense() ? cb : ca;
-      const Chunk& de = ca.dense() ? ca : cb;
-      for (std::uint16_t low : sp.values) {
-        count += (de.words[low / 64] >> (low % 64)) & 1u;
-      }
-    } else {
-      count += SortedIntersectSize(ca.values, cb.values);
-    }
-    ++ia;
-    ++ib;
-  }
-  return count;
-}
-
-std::size_t ChunkedVertexSet::AndBits(const ChunkedVertexSet& a,
-                                      const VertexBitset& bits,
-                                      ChunkedVertexSet* out) {
-  out->size_ = 0;
-  std::size_t used = 0;
-  const SimdOps& ops = ActiveSimdOps();
-  for (const Chunk& ca : a.chunks_) {
-    const std::size_t offset = static_cast<std::size_t>(ca.key) * kChunkWords;
-    if (offset >= bits.num_words()) break;  // chunks beyond the universe
-    const std::size_t avail = std::min(kChunkWords, bits.num_words() - offset);
-    const std::uint64_t* slice = bits.data() + offset;
-    Chunk& c = RecycleChunkSlot(&out->chunks_, used, ca.key);
-    if (ca.dense()) {
-      // Chunk words past `avail` hold no members (ids < universe), so the
-      // shorter AND is exact; the recycled tail words are zeroed by hand.
-      PrepareChunkWords(&c);
-      c.count = static_cast<std::uint32_t>(
-          ops.and_words(ca.words.data(), slice, c.words.data(), avail));
-      std::fill(c.words.begin() + static_cast<std::ptrdiff_t>(avail),
-                c.words.end(), 0);
-      CanonicalizeChunkFromWords(&c);
-    } else {
-      c.values.reserve(ca.values.size());
-      for (std::uint16_t low : ca.values) {
-        const std::size_t w = low / 64;
-        if (w < avail && ((slice[w] >> (low % 64)) & 1u)) {
-          c.values.push_back(low);
-        }
-      }
-      c.count = static_cast<std::uint32_t>(c.values.size());
-    }
-    if (c.count > 0) {
-      out->size_ += c.count;
-      ++used;
-    }
-  }
-  out->chunks_.resize(used);
-  return out->size_;
-}
-
-std::size_t ChunkedVertexSet::AndBitsCount(const ChunkedVertexSet& a,
-                                           const VertexBitset& bits) {
-  const SimdOps& ops = ActiveSimdOps();
-  std::size_t count = 0;
-  for (const Chunk& ca : a.chunks_) {
-    const std::size_t offset = static_cast<std::size_t>(ca.key) * kChunkWords;
-    if (offset >= bits.num_words()) break;
-    const std::size_t avail = std::min(kChunkWords, bits.num_words() - offset);
-    const std::uint64_t* slice = bits.data() + offset;
-    if (ca.dense()) {
-      count += ops.and_count_words(ca.words.data(), slice, avail);
-    } else {
-      for (std::uint16_t low : ca.values) {
-        const std::size_t w = low / 64;
-        if (w < avail) count += (slice[w] >> (low % 64)) & 1u;
-      }
-    }
-  }
-  return count;
-}
-
 // --------------------------------------------------------- HybridVertexSet
 
 namespace {
-
-std::atomic<bool> g_chunked_enabled{true};
 
 /// True when SortedIntersect will take its galloping path (it returns
 /// early on an empty operand, before the skew check).
@@ -344,62 +79,7 @@ bool WouldGallop(std::size_t a, std::size_t b) {
          (a * kGallopSkew < b || b * kGallopSkew < a);
 }
 
-/// out = sorted ∩ chunked. Walks the sorted vector and the chunk list in
-/// lockstep (both ascending), probing inside the matching chunk.
-void IntersectSortedWithChunked(const VertexSet& sorted,
-                                const ChunkedVertexSet& chunked,
-                                VertexSet* out) {
-  out->clear();
-  const auto& chunks = chunked.chunks();
-  std::size_t ci = 0;
-  for (VertexId v : sorted) {
-    const std::uint32_t key = v >> ChunkedVertexSet::kChunkBits;
-    while (ci < chunks.size() && chunks[ci].key < key) ++ci;
-    if (ci == chunks.size()) break;
-    if (chunks[ci].key != key) continue;
-    if (ChunkTest(chunks[ci], static_cast<std::uint16_t>(v))) {
-      out->push_back(v);
-    }
-  }
-}
-
-std::size_t IntersectSortedWithChunkedCount(const VertexSet& sorted,
-                                            const ChunkedVertexSet& chunked) {
-  const auto& chunks = chunked.chunks();
-  std::size_t ci = 0;
-  std::size_t count = 0;
-  for (VertexId v : sorted) {
-    const std::uint32_t key = v >> ChunkedVertexSet::kChunkBits;
-    while (ci < chunks.size() && chunks[ci].key < key) ++ci;
-    if (ci == chunks.size()) break;
-    if (chunks[ci].key != key) continue;
-    count += ChunkTest(chunks[ci], static_cast<std::uint16_t>(v)) ? 1 : 0;
-  }
-  return count;
-}
-
 }  // namespace
-
-void HybridVertexSet::SetChunkedEnabled(bool enabled) {
-  g_chunked_enabled.store(enabled, std::memory_order_release);
-}
-
-bool HybridVertexSet::ChunkedEnabled() {
-  return g_chunked_enabled.load(std::memory_order_acquire);
-}
-
-bool HybridVertexSet::ShouldBeChunked(std::size_t size, VertexId universe) {
-  return universe >= kMinChunkedUniverse &&
-         size * kChunkedFraction >= universe &&
-         !ShouldBeDense(size, universe) && ChunkedEnabled();
-}
-
-HybridVertexSet::Repr HybridVertexSet::PickRepresentation(std::size_t size,
-                                                          VertexId universe) {
-  if (ShouldBeDense(size, universe)) return Repr::kDense;
-  if (ShouldBeChunked(size, universe)) return Repr::kChunked;
-  return Repr::kSparse;
-}
 
 HybridVertexSet HybridVertexSet::View(const VertexSet* v, VertexId universe) {
   HybridVertexSet out;
@@ -415,63 +95,28 @@ HybridVertexSet HybridVertexSet::FromVector(VertexSet v, VertexId universe,
   out.size_ = v.size();
   out.universe_ = universe;
   out.vec_ = std::move(v);
-  out.Canonicalize(stats);
+  out.Normalize(stats);
   return out;
 }
 
-void HybridVertexSet::Normalize(SetOpStats* stats) { Canonicalize(stats); }
-
-void HybridVertexSet::Canonicalize(SetOpStats* stats) {
-  const Repr wanted = PickRepresentation(size_, universe_);
-  if (wanted == repr_) return;
-  switch (wanted) {
-    case Repr::kDense:
-      if (repr_ == Repr::kChunked) {
-        vec_.clear();
-        vec_.reserve(size_);
-        chunks_.AppendTo(&vec_);
-        chunks_.Clear();
-        bits_ = VertexBitset::FromSorted(vec_, universe_);
-      } else {
-        bits_ = VertexBitset::FromSorted(sorted(), universe_);
-      }
-      view_ = nullptr;
-      vec_.clear();
-      vec_.shrink_to_fit();
-      if (stats != nullptr) ++stats->dense_conversions;
-      break;
-    case Repr::kChunked:
-      if (repr_ == Repr::kDense) {
-        vec_.clear();
-        vec_.reserve(size_);
-        bits_.AppendTo(&vec_);
-        bits_ = VertexBitset();
-        chunks_ = ChunkedVertexSet::FromSorted(vec_);
-      } else {
-        chunks_ = ChunkedVertexSet::FromSorted(sorted());
-      }
-      view_ = nullptr;
-      vec_.clear();
-      vec_.shrink_to_fit();
-      if (stats != nullptr) ++stats->chunked_conversions;
-      break;
-    case Repr::kSparse:
-      // Demotion: materialize the sorted vector. Not counted — only
-      // materializations *into* the compressed representations are
-      // conversions.
-      vec_.clear();
-      vec_.reserve(size_);
-      if (repr_ == Repr::kDense) {
-        bits_.AppendTo(&vec_);
-        bits_ = VertexBitset();
-      } else {
-        chunks_.AppendTo(&vec_);
-        chunks_.Clear();
-      }
-      view_ = nullptr;
-      break;
+void HybridVertexSet::Normalize(SetOpStats* stats) {
+  const bool want_dense = ShouldBeDense(size_, universe_);
+  if (want_dense == dense_) return;
+  if (want_dense) {
+    bits_ = VertexBitset::FromSorted(sorted(), universe_);
+    view_ = nullptr;
+    vec_.clear();
+    vec_.shrink_to_fit();
+    if (stats != nullptr) ++stats->dense_conversions;
+  } else {
+    // Demotion: materialize the sorted vector. Not counted — only
+    // promotions into the bitmap are conversions.
+    vec_.clear();
+    vec_.reserve(size_);
+    bits_.AppendTo(&vec_);
+    bits_ = VertexBitset();
   }
-  repr_ = wanted;
+  dense_ = want_dense;
 }
 
 void HybridVertexSet::Intersect(const HybridVertexSet& a,
@@ -480,107 +125,58 @@ void HybridVertexSet::Intersect(const HybridVertexSet& a,
   const VertexId universe = a.universe_ != 0 ? a.universe_ : b.universe_;
   out->view_ = nullptr;
   out->universe_ = universe;
-  if (a.dense() && b.dense()) {
+  if (a.dense_ && b.dense_) {
     if (stats != nullptr) ++stats->bitmap_intersections;
     out->size_ = VertexBitset::And(a.bits_, b.bits_, &out->bits_);
     out->vec_.clear();
-    out->chunks_.Clear();
-    out->repr_ = Repr::kDense;
-  } else if (a.chunked() && b.chunked()) {
-    if (stats != nullptr) ++stats->chunked_intersections;
-    out->size_ = ChunkedVertexSet::And(a.chunks_, b.chunks_, &out->chunks_);
-    out->vec_.clear();
-    out->bits_ = VertexBitset();
-    out->repr_ = Repr::kChunked;
-  } else if ((a.chunked() && b.dense()) || (a.dense() && b.chunked())) {
-    // Chunk-wise AND against the word slices of the full-universe bitmap.
-    if (stats != nullptr) ++stats->chunked_intersections;
-    const ChunkedVertexSet& chunks = a.chunked() ? a.chunks_ : b.chunks_;
-    const VertexBitset& bits = a.dense() ? a.bits_ : b.bits_;
-    out->size_ = ChunkedVertexSet::AndBits(chunks, bits, &out->chunks_);
-    out->vec_.clear();
-    out->bits_ = VertexBitset();
-    out->repr_ = Repr::kChunked;
-  } else if (a.dense() || b.dense()) {
-    // Probe the bitmap once per element of the sparse side.
-    if (stats != nullptr) ++stats->bitmap_intersections;
-    const HybridVertexSet& sparse = a.dense() ? b : a;
-    const VertexBitset& bits = a.dense() ? a.bits_ : b.bits_;
-    IntersectSortedWithBits(sparse.sorted(), bits, &out->vec_);
-    out->size_ = out->vec_.size();
-    out->bits_ = VertexBitset();
-    out->chunks_.Clear();
-    out->repr_ = Repr::kSparse;
-  } else if (a.chunked() || b.chunked()) {
-    if (stats != nullptr) ++stats->chunked_intersections;
-    const HybridVertexSet& sparse = a.chunked() ? b : a;
-    const ChunkedVertexSet& chunks = a.chunked() ? a.chunks_ : b.chunks_;
-    IntersectSortedWithChunked(sparse.sorted(), chunks, &out->vec_);
-    out->size_ = out->vec_.size();
-    out->bits_ = VertexBitset();
-    out->chunks_.Clear();
-    out->repr_ = Repr::kSparse;
+    out->dense_ = true;
   } else {
-    if (stats != nullptr && WouldGallop(a.size_, b.size_)) {
-      ++stats->galloping_intersections;
+    if (a.dense_ || b.dense_) {
+      // Probe the bitmap once per element of the sparse side.
+      if (stats != nullptr) ++stats->bitmap_intersections;
+      const HybridVertexSet& sparse = a.dense_ ? b : a;
+      const VertexBitset& bits = a.dense_ ? a.bits_ : b.bits_;
+      IntersectSortedWithBits(sparse.sorted(), bits, &out->vec_);
+    } else {
+      if (stats != nullptr && WouldGallop(a.size_, b.size_)) {
+        ++stats->galloping_intersections;
+      }
+      SortedIntersect(a.sorted(), b.sorted(), &out->vec_);
     }
-    SortedIntersect(a.sorted(), b.sorted(), &out->vec_);
     out->size_ = out->vec_.size();
     out->bits_ = VertexBitset();
-    out->chunks_.Clear();
-    out->repr_ = Repr::kSparse;
+    out->dense_ = false;
   }
   // Re-establish the canonical-representation invariant: the kernels
   // above produce whatever their operands dictated; the density rule
   // decides what the result is stored as.
-  out->Canonicalize(stats);
+  out->Normalize(stats);
 }
 
 std::size_t HybridVertexSet::IntersectSize(const HybridVertexSet& a,
                                            const HybridVertexSet& b,
                                            SetOpStats* stats) {
-  if (a.dense() && b.dense()) {
+  if (a.dense_ && b.dense_) {
     if (stats != nullptr) ++stats->bitmap_intersections;
     return VertexBitset::AndCount(a.bits_, b.bits_);
   }
-  if (a.chunked() && b.chunked()) {
-    if (stats != nullptr) ++stats->chunked_intersections;
-    return ChunkedVertexSet::AndCount(a.chunks_, b.chunks_);
-  }
-  if ((a.chunked() && b.dense()) || (a.dense() && b.chunked())) {
-    if (stats != nullptr) ++stats->chunked_intersections;
-    const ChunkedVertexSet& chunks = a.chunked() ? a.chunks_ : b.chunks_;
-    const VertexBitset& bits = a.dense() ? a.bits_ : b.bits_;
-    return ChunkedVertexSet::AndBitsCount(chunks, bits);
-  }
-  if (a.dense() || b.dense()) {
+  if (a.dense_ || b.dense_) {
     if (stats != nullptr) ++stats->bitmap_intersections;
-    const HybridVertexSet& sparse = a.dense() ? b : a;
-    const VertexBitset& bits = a.dense() ? a.bits_ : b.bits_;
+    const HybridVertexSet& sparse = a.dense_ ? b : a;
+    const VertexBitset& bits = a.dense_ ? a.bits_ : b.bits_;
     return IntersectSortedWithBitsCount(sparse.sorted(), bits);
-  }
-  if (a.chunked() || b.chunked()) {
-    if (stats != nullptr) ++stats->chunked_intersections;
-    const HybridVertexSet& sparse = a.chunked() ? b : a;
-    const ChunkedVertexSet& chunks = a.chunked() ? a.chunks_ : b.chunks_;
-    return IntersectSortedWithChunkedCount(sparse.sorted(), chunks);
   }
   return SortedIntersectSize(a.sorted(), b.sorted());
 }
 
 bool HybridVertexSet::Contains(VertexId v) const {
-  if (dense()) return v < universe_ && bits_.Test(v);
-  if (chunked()) return chunks_.Test(v);
+  if (dense_) return v < universe_ && bits_.Test(v);
   return SortedContains(sorted(), v);
 }
 
 void HybridVertexSet::AppendTo(VertexSet* out) const {
-  if (dense()) {
+  if (dense_) {
     bits_.AppendTo(out);
-    return;
-  }
-  if (chunked()) {
-    chunks_.AppendTo(out);
     return;
   }
   const VertexSet& src = sorted();
@@ -596,9 +192,9 @@ VertexSet HybridVertexSet::ToVector() const {
 
 VertexSet HybridVertexSet::TakeVector() {
   VertexSet out;
-  if (dense() || chunked()) {
+  if (dense_) {
     out.reserve(size_);
-    AppendTo(&out);
+    bits_.AppendTo(&out);
   } else if (view_ != nullptr) {
     out = *view_;
   } else {

@@ -1,20 +1,17 @@
-// Hybrid sparse-vector / chunked / dense-bitmap vertex sets.
+// Hybrid sparse-vector / dense-bitmap vertex sets.
 //
 // Every hot path of the pipeline — Eclat/Apriori tidset extension, SCPM
 // lattice expansion, Theorem-3 universe pruning, induced-subgraph
 // construction — bottoms out in pairwise intersection of sorted VertexSet
-// vectors. HybridVertexSet stores each set in whichever of three
+// vectors. HybridVertexSet stores each set in whichever of two
 // representations the *density rule* picks and dispatches intersections
 // to the matching kernel:
 //
 //   sparse   sorted u32 vector            merge / gallop
-//   chunked  roaring-style 2^16 chunks    per-chunk word-AND / probe / merge
 //   dense    fixed-universe bitmap        word AND + popcount
 //
-// The dense bitmap wins past ~5% density; the chunked container covers
-// the 0.5-5% mid-density band where the full-universe bitmap wastes words
-// on empty regions but the merge scan is already slow. All word loops go
-// through the runtime-dispatched SIMD table (util/simd_ops.h).
+// The dense bitmap wins past ~5% density; below it the merge scan touches
+// fewer words than the bitmap would.
 //
 // Determinism contract: the representation is a pure function of
 // (size, universe) — never of thread count, timing, or which worker built
@@ -22,8 +19,7 @@
 // miners that swap VertexSet for HybridVertexSet keep byte-identical
 // output. The SetOpStats counters only ever count kernel dispatches,
 // which are themselves deterministic, so per-worker counts sum to the
-// same totals for any thread count. SIMD dispatch is bit-exact and
-// therefore unobservable in output and counters alike.
+// same totals for any thread count.
 
 #ifndef SCPM_UTIL_HYBRID_SET_H_
 #define SCPM_UTIL_HYBRID_SET_H_
@@ -39,35 +35,24 @@ namespace scpm {
 /// Deterministic counts of the set-kernel dispatches (see the file
 /// comment). Accumulated per worker and summed on join, like ScpmCounters.
 struct SetOpStats {
-  /// Intersections executed with at least one full-universe bitmap
-  /// operand (word-AND when both are dense, bitmap probe when one is)
-  /// and no chunked operand.
+  /// Intersections executed with at least one bitmap operand (word-AND
+  /// when both are dense, bitmap probe when one is).
   std::uint64_t bitmap_intersections = 0;
   /// Vector/vector intersections that took the galloping (binary-probe)
   /// path because one side was >= 32x smaller.
   std::uint64_t galloping_intersections = 0;
-  /// Intersections with at least one chunked operand (chunk-wise kernels,
-  /// including chunked x dense-bitmap slicing and chunked x vector
-  /// probes).
-  std::uint64_t chunked_intersections = 0;
   /// Materializations into the dense representation (the density rule
-  /// promoted a set to a full-universe bitmap).
+  /// promoted a set to a bitmap).
   std::uint64_t dense_conversions = 0;
-  /// Materializations into the chunked representation (the density rule
-  /// placed a set in the mid-density band).
-  std::uint64_t chunked_conversions = 0;
 
   void MergeFrom(const SetOpStats& other) {
     bitmap_intersections += other.bitmap_intersections;
     galloping_intersections += other.galloping_intersections;
-    chunked_intersections += other.chunked_intersections;
     dense_conversions += other.dense_conversions;
-    chunked_conversions += other.chunked_conversions;
   }
 };
 
-/// Fixed-universe bitmap over vertex ids [0, universe). Word loops run on
-/// the runtime-dispatched SIMD table (util/simd_ops.h).
+/// Fixed-universe bitmap over vertex ids [0, universe).
 class VertexBitset {
  public:
   VertexBitset() = default;
@@ -92,9 +77,6 @@ class VertexBitset {
     words_[v / 64] &= ~(std::uint64_t{1} << (v % 64));
   }
 
-  /// Population count.
-  std::size_t Count() const;
-
   /// out = a & b (word-wise AND); returns |out|. Universes must match.
   /// `out` may alias either input.
   static std::size_t And(const VertexBitset& a, const VertexBitset& b,
@@ -102,11 +84,6 @@ class VertexBitset {
 
   /// |a & b| without materializing the result.
   static std::size_t AndCount(const VertexBitset& a, const VertexBitset& b);
-
-  /// out = a & ~b; returns |out|. Universes must match; `out` may alias
-  /// either input.
-  static std::size_t AndNot(const VertexBitset& a, const VertexBitset& b,
-                            VertexBitset* out);
 
   /// Appends the members in ascending order (ctz scan over the words).
   void AppendTo(VertexSet* out) const;
@@ -124,157 +101,57 @@ std::size_t IntersectSortedWithBitsCount(const VertexSet& sorted,
 void IntersectSortedWithBits(const VertexSet& sorted, const VertexBitset& bits,
                              VertexSet* out);
 
-/// Roaring-style chunked set: vertex ids are split into 2^16-element
-/// chunks keyed by the high 16 bits; each populated chunk independently
-/// stores its low 16 bits as either a sorted u16 array (below
-/// kChunkDenseMin members) or an 8 KiB bitmap. Intersections walk the two
-/// chunk lists by key and dispatch per matching pair — word-AND,
-/// bit-probe, or u16 merge — so empty regions of the universe cost
-/// nothing, unlike the full-universe bitmap. Universe-agnostic: the keys
-/// derive from the stored values.
-class ChunkedVertexSet {
- public:
-  static constexpr std::uint32_t kChunkBits = 16;
-  static constexpr VertexId kChunkCapacity = VertexId{1} << kChunkBits;
-  static constexpr std::size_t kChunkWords = kChunkCapacity / 64;  // 1024
-  /// Chunk cardinality at which the chunk payload flips from the sorted
-  /// u16 array to the bitmap (0.78% in-chunk density: the point where the
-  /// word-AND over 1024 words undercuts the u16 merge).
-  static constexpr std::uint32_t kChunkDenseMin = 512;
-
-  struct Chunk {
-    std::uint32_t key = 0;    // vertex id >> kChunkBits
-    std::uint32_t count = 0;  // members in this chunk
-    std::vector<std::uint16_t> values;  // sparse payload: sorted low bits
-    std::vector<std::uint64_t> words;   // dense payload: kChunkWords words
-
-    /// Payload discriminator — the canonical per-chunk rule, a pure
-    /// function of the cardinality. (A sparse chunk may retain a stale
-    /// word buffer for reuse by the next kernel into its slot; only
-    /// `count` decides which payload is live.)
-    bool dense() const { return count >= kChunkDenseMin; }
-  };
-
-  ChunkedVertexSet() = default;
-
-  /// Chunked form of a sorted, duplicate-free vertex set; each chunk
-  /// picks its payload by the kChunkDenseMin rule (a pure function of
-  /// the chunk cardinality).
-  static ChunkedVertexSet FromSorted(const VertexSet& v);
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const std::vector<Chunk>& chunks() const { return chunks_; }
-
-  void Clear() {
-    chunks_.clear();
-    size_ = 0;
-  }
-
-  /// Membership test: binary search over the chunk keys, then bit probe
-  /// or u16 binary search inside the chunk.
-  bool Test(VertexId v) const;
-
-  /// Appends the members in ascending order.
-  void AppendTo(VertexSet* out) const;
-
-  /// out = a ∩ b; returns |out|. Chunk-wise: only keys present on both
-  /// sides do any work. `out` may alias neither input.
-  static std::size_t And(const ChunkedVertexSet& a, const ChunkedVertexSet& b,
-                         ChunkedVertexSet* out);
-
-  /// |a ∩ b| without materializing the result.
-  static std::size_t AndCount(const ChunkedVertexSet& a,
-                              const ChunkedVertexSet& b);
-
-  /// out = a ∩ bits, where `bits` is a full-universe bitmap: each chunk
-  /// is intersected against the word slice [key * kChunkWords, ...) of
-  /// `bits`. Returns |out|. `out` may not alias `a`.
-  static std::size_t AndBits(const ChunkedVertexSet& a,
-                             const VertexBitset& bits, ChunkedVertexSet* out);
-
-  /// |a ∩ bits| without materializing the result.
-  static std::size_t AndBitsCount(const ChunkedVertexSet& a,
-                                  const VertexBitset& bits);
-
- private:
-  std::vector<Chunk> chunks_;  // sorted by key, no empty chunks
-  std::size_t size_ = 0;
-};
-
-/// A vertex set stored as a sorted vector (sparse), a roaring-style
-/// chunked container (mid-density), or a fixed-universe bitmap (dense),
-/// switched by the deterministic density rule PickRepresentation. A
-/// sparse set can additionally *borrow* a caller-owned vector (View),
-/// which is how Eclat/Apriori/SCPM roots reference the graph-owned
-/// attribute tidsets without copying them.
+/// A vertex set stored as either a sorted vector (sparse) or a
+/// fixed-universe bitmap (dense), switched by the deterministic density
+/// rule ShouldBeDense. A sparse set can additionally *borrow* a
+/// caller-owned vector (View), which is how Eclat/Apriori/SCPM roots
+/// reference the graph-owned attribute tidsets without copying them.
 ///
-/// Universe 0 means "unknown universe": the set can never leave the
-/// sorted-vector representation and every operation takes the merge path
-/// — the escape hatch the use_hybrid_sets=false configurations use to
-/// reproduce the pure merge-based behavior bit for bit.
+/// Universe 0 means "unknown universe": the set can never go dense and
+/// every operation takes the sorted-vector path — the escape hatch the
+/// use_hybrid_sets=false configurations use to reproduce the pure
+/// merge-based behavior bit for bit.
 class HybridVertexSet {
  public:
-  enum class Repr : std::uint8_t { kSparse, kChunked, kDense };
-
   HybridVertexSet() = default;
 
   /// Borrows `v` (not copied; caller keeps it alive and unchanged).
   static HybridVertexSet View(const VertexSet* v, VertexId universe);
 
-  /// Owns `v`, immediately applying the density rule (a materialization
-  /// into the chunked or dense representation bumps the matching
-  /// stats->*_conversions counter).
+  /// Owns `v`, immediately applying the density rule (a promotion to
+  /// dense bumps stats->dense_conversions).
   static HybridVertexSet FromVector(VertexSet v, VertexId universe,
                                     SetOpStats* stats);
 
-  /// The dense leg of the density rule: dense iff the universe is at
-  /// least one full word beyond trivial and the set fills >=
-  /// 1/kDenseFraction of it. Pure function of (size, universe) so every
-  /// thread picks the same representation.
+  /// The density rule: dense iff the universe is at least one full word
+  /// beyond trivial and the set fills >= 1/kDenseFraction of it. Pure
+  /// function of (size, universe) so every thread picks the same
+  /// representation.
   static bool ShouldBeDense(std::size_t size, VertexId universe) {
     return universe >= kMinDenseUniverse &&
            size * kDenseFraction >= universe;
   }
 
-  /// The chunked leg: a universe of at least one full chunk whose set
-  /// density sits in the [1/kChunkedFraction, 1/kDenseFraction) band.
-  /// Also a pure function of (size, universe) — plus the process-wide
-  /// A/B toggle below, which must not change mid-run.
-  static bool ShouldBeChunked(std::size_t size, VertexId universe);
-
-  /// The full three-way rule (dense wins over chunked wins over sparse).
-  static Repr PickRepresentation(std::size_t size, VertexId universe);
-
-  /// A/B escape hatch (scpm_cli --chunked 0|1): disabling it makes the
-  /// mid-density band fall back to sorted vectors, reproducing the PR-3
-  /// two-way engine bit for bit. Process-wide; set before mining, never
-  /// concurrently with it.
-  static void SetChunkedEnabled(bool enabled);
-  static bool ChunkedEnabled();
-
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   VertexId universe() const { return universe_; }
-  Repr repr() const { return repr_; }
-  bool sparse() const { return repr_ == Repr::kSparse; }
-  bool chunked() const { return repr_ == Repr::kChunked; }
-  bool dense() const { return repr_ == Repr::kDense; }
+  bool sparse() const { return !dense_; }
+  bool dense() const { return dense_; }
   bool is_view() const { return view_ != nullptr; }
 
   /// Re-applies the density rule to a view or freshly assembled set,
-  /// materializing whichever representation the rule picks (counted in
-  /// stats->dense_conversions / chunked_conversions). Calling it where
+  /// materializing whichever representation the rule picks (a promotion
+  /// to dense is counted in stats->dense_conversions). Calling it where
   /// the set is built — e.g. inside the per-batch evaluation tasks —
   /// shards the conversion cost of the root-class tidsets across the
   /// pool.
   void Normalize(SetOpStats* stats);
 
-  /// out = a ∩ b, dispatched by the operands' representations to the
-  /// word-AND, chunk-wise, bitmap-probe, or merge/gallop kernel; the
-  /// result representation again follows the density rule. `out` may
-  /// alias neither input. Kernel dispatches are counted in `stats` (may
-  /// be null).
+  /// out = a ∩ b, dispatched to the word-AND, bitmap-probe, or
+  /// merge/gallop kernel by the operands' representations; the result
+  /// representation again follows the density rule. `out` may alias
+  /// neither input. Kernel dispatches are counted in `stats` (may be
+  /// null).
   static void Intersect(const HybridVertexSet& a, const HybridVertexSet& b,
                         HybridVertexSet* out, SetOpStats* stats);
 
@@ -283,8 +160,7 @@ class HybridVertexSet {
                                    const HybridVertexSet& b,
                                    SetOpStats* stats);
 
-  /// Membership test (binary search when sparse, chunk probe when
-  /// chunked, bit probe when dense).
+  /// Membership test (binary search when sparse, bit probe when dense).
   bool Contains(VertexId v) const;
 
   /// Appends the members in ascending order.
@@ -293,15 +169,12 @@ class HybridVertexSet {
   /// Sorted materialization (the API-boundary representation).
   VertexSet ToVector() const;
 
-  /// Moves the sorted vector out (copies when borrowed, materializes
-  /// when chunked or dense). The set is left empty.
+  /// Moves the sorted vector out (copies when borrowed, materializes when
+  /// dense). The set is left empty.
   VertexSet TakeVector();
 
   /// The sorted vector without copying; requires sparse().
   const VertexSet& sorted() const { return view_ != nullptr ? *view_ : vec_; }
-
-  /// The chunked container; requires chunked().
-  const ChunkedVertexSet& chunk_set() const { return chunks_; }
 
   /// The bitmap; requires dense().
   const VertexBitset& bits() const { return bits_; }
@@ -313,26 +186,13 @@ class HybridVertexSet {
   // cannot win anything.
   static constexpr std::size_t kDenseFraction = 20;
   static constexpr VertexId kMinDenseUniverse = 64;
-  // Chunked iff universe >= one full chunk and density >= 0.5% (1/200)
-  // but below the dense knee: populated chunks run at word-AND speed
-  // while empty chunks — which a full-universe bitmap would still scan —
-  // cost nothing.
-  static constexpr std::size_t kChunkedFraction = 200;
-  static constexpr VertexId kMinChunkedUniverse =
-      ChunkedVertexSet::kChunkCapacity;
-
-  /// Converts the set to PickRepresentation(size, universe), counting
-  /// materializations into chunked/dense in `stats`; demotions to
-  /// sparse are free.
-  void Canonicalize(SetOpStats* stats);
 
   const VertexSet* view_ = nullptr;  // borrowed sparse storage
   VertexSet vec_;                    // owned sparse storage
-  ChunkedVertexSet chunks_;          // owned chunked storage
   VertexBitset bits_;                // owned dense storage
   std::size_t size_ = 0;
   VertexId universe_ = 0;
-  Repr repr_ = Repr::kSparse;
+  bool dense_ = false;
 };
 
 }  // namespace scpm

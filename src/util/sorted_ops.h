@@ -59,16 +59,12 @@ It GallopTo(It it, It end, T x) {
 
 }  // namespace internal
 
-/// Appends a ∩ b to `out` without clearing it; returns the number of
-/// elements appended. Same merge/gallop policy as SortedIntersect. The
-/// per-chunk kernels of ChunkedVertexSet use this to accumulate one
-/// output vector across chunks. `out` may alias neither input.
+/// out = a ∩ b. `out` may alias neither input.
 template <typename T>
-std::size_t SortedIntersectAppend(const std::vector<T>& a,
-                                  const std::vector<T>& b,
-                                  std::vector<T>* out) {
-  const std::size_t before = out->size();
-  if (a.empty() || b.empty()) return 0;
+void SortedIntersect(const std::vector<T>& a, const std::vector<T>& b,
+                     std::vector<T>* out) {
+  out->clear();
+  if (a.empty() || b.empty()) return;
   // Use galloping when one side is much smaller.
   if (a.size() * kGallopSkew < b.size() || b.size() * kGallopSkew < a.size()) {
     const std::vector<T>& small = a.size() < b.size() ? a : b;
@@ -79,7 +75,7 @@ std::size_t SortedIntersectAppend(const std::vector<T>& a,
       if (it == large.end()) break;
       if (*it == x) out->push_back(x);
     }
-    return out->size() - before;
+    return;
   }
   auto ia = a.begin(), ib = b.begin();
   while (ia != a.end() && ib != b.end()) {
@@ -93,15 +89,6 @@ std::size_t SortedIntersectAppend(const std::vector<T>& a,
       ++ib;
     }
   }
-  return out->size() - before;
-}
-
-/// out = a ∩ b. `out` may alias neither input.
-template <typename T>
-void SortedIntersect(const std::vector<T>& a, const std::vector<T>& b,
-                     std::vector<T>* out) {
-  out->clear();
-  SortedIntersectAppend(a, b, out);
 }
 
 /// |a ∩ b| without materializing the intersection.

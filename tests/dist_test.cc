@@ -29,6 +29,7 @@
 #include "core/request.h"
 #include "core/scpm.h"
 #include "dist/dist.h"
+#include "dist/protocol.h"
 #include "graph/attributed_graph.h"
 #include "server/json.h"
 #include "server/server.h"
@@ -102,9 +103,7 @@ void ExpectCountersEq(const ScpmCounters& a, const ScpmCounters& b) {
   EXPECT_EQ(a.intra_branch_tasks, b.intra_branch_tasks);
   EXPECT_EQ(a.bitmap_intersections, b.bitmap_intersections);
   EXPECT_EQ(a.galloping_intersections, b.galloping_intersections);
-  EXPECT_EQ(a.chunked_intersections, b.chunked_intersections);
   EXPECT_EQ(a.dense_conversions, b.dense_conversions);
-  EXPECT_EQ(a.chunked_conversions, b.chunked_conversions);
 }
 
 /// Single-process memo-less reference for `request`'s options, written
@@ -359,6 +358,27 @@ TEST(DistOptionsValidate, RejectsDegenerateKnobs) {
   dopts = dist::DistOptions();
   dopts.lease_ms = 0;
   EXPECT_EQ(dopts.Validate().code(), StatusCode::kInvalidArgument);
+}
+
+/// A result payload written with the previous ScpmCounters field list
+/// (format version 1) must be rejected typed, never misread as counters.
+TEST(DistProtocol, ResultWithOldCounterLayoutIsRejectedTyped) {
+  dist::ResultPayload result;
+  result.counters.attribute_sets_evaluated = 7;
+  const std::string current = dist::EncodeResult(result);
+  Result<dist::ResultPayload> decoded = dist::DecodeResult(current);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->counters.attribute_sets_evaluated, 7u);
+
+  const std::string magic = "dist-result ";
+  ASSERT_EQ(current.rfind(magic, 0), 0u);
+  std::string old = current;
+  old.replace(magic.size(), old.find('\n') - magic.size(), "1");
+  Result<dist::ResultPayload> rejected = dist::DecodeResult(old);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kIoError);
+  EXPECT_NE(rejected.status().message().find("unsupported"), std::string::npos)
+      << rejected.status();
 }
 
 TEST(DistRecovery, CoordinatorSigkillResumesByteIdentical) {

@@ -21,9 +21,7 @@
 #include "datasets/paper_example.h"
 #include "graph/attributed_graph.h"
 #include "nullmodel/expectation.h"
-#include "util/hybrid_set.h"
 #include "util/random.h"
-#include "util/simd_ops.h"
 
 namespace scpm {
 namespace {
@@ -99,10 +97,7 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
   EXPECT_EQ(a.counters.galloping_intersections,
             b.counters.galloping_intersections);
-  EXPECT_EQ(a.counters.chunked_intersections,
-            b.counters.chunked_intersections);
   EXPECT_EQ(a.counters.dense_conversions, b.counters.dense_conversions);
-  EXPECT_EQ(a.counters.chunked_conversions, b.counters.chunked_conversions);
 }
 
 /// Runs the engine with an AccumulatingSink; must exhaust.
@@ -122,17 +117,11 @@ ScpmResult EngineAccumulate(const AttributedGraph& g,
 // ----------------------------------------- sink equivalence (satellite)
 
 /// AccumulatingSink through the engine == legacy Mine(), byte for byte,
-/// across threads {1, 2, 8} x {hybrid, chunked, simd} toggles. Each cell
-/// is compared against that cell's own Mine() (counters differ between
-/// kernel configurations by design), and every cell's rows/patterns are
+/// across threads {1, 2, 8} x {hybrid on, off}. Each cell is compared
+/// against that cell's own Mine() (counters differ between kernel
+/// configurations by design), and every cell's rows/patterns are
 /// compared against the global default baseline.
 TEST(SinkEquivalenceTest, AccumulatingMatchesMineAcrossTogglesAndThreads) {
-  struct DispatchRestore {
-    ~DispatchRestore() {
-      SetSimdDispatch(true);
-      HybridVertexSet::SetChunkedEnabled(true);
-    }
-  } restore;
   const AttributedGraph g = RandomAttributed(31, /*n=*/120, /*num_attrs=*/4,
                                              /*edge_p=*/0.08, /*attr_p=*/0.6);
   ScpmOptions base;
@@ -146,31 +135,25 @@ TEST(SinkEquivalenceTest, AccumulatingMatchesMineAcrossTogglesAndThreads) {
   ASSERT_FALSE(global_baseline.attribute_sets.empty());
 
   for (bool hybrid : {true, false}) {
-    for (bool chunked : {true, false}) {
-      for (bool simd : {true, false}) {
-        SetSimdDispatch(simd);
-        HybridVertexSet::SetChunkedEnabled(chunked);
-        ScpmOptions cell = base;
-        cell.use_hybrid_sets = hybrid;
-        cell.num_threads = 1;
-        ScpmMiner legacy(cell);
-        Result<ScpmResult> mined = legacy.Mine(g);
-        ASSERT_TRUE(mined.ok()) << mined.status();
-        for (std::size_t threads : {1u, 2u, 8u}) {
-          ScpmOptions run_options = cell;
-          run_options.num_threads = threads;
-          const ScpmResult engine_result = EngineAccumulate(g, run_options);
-          ExpectIdenticalResults(*mined, engine_result);
-        }
-        // Rows and patterns (not counters) also match the default cell.
-        ASSERT_EQ(mined->attribute_sets.size(),
-                  global_baseline.attribute_sets.size());
-        ASSERT_EQ(mined->patterns.size(), global_baseline.patterns.size());
-        for (std::size_t i = 0; i < mined->patterns.size(); ++i) {
-          EXPECT_EQ(mined->patterns[i].vertices,
-                    global_baseline.patterns[i].vertices);
-        }
-      }
+    ScpmOptions cell = base;
+    cell.use_hybrid_sets = hybrid;
+    cell.num_threads = 1;
+    ScpmMiner legacy(cell);
+    Result<ScpmResult> mined = legacy.Mine(g);
+    ASSERT_TRUE(mined.ok()) << mined.status();
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      ScpmOptions run_options = cell;
+      run_options.num_threads = threads;
+      const ScpmResult engine_result = EngineAccumulate(g, run_options);
+      ExpectIdenticalResults(*mined, engine_result);
+    }
+    // Rows and patterns (not counters) also match the default cell.
+    ASSERT_EQ(mined->attribute_sets.size(),
+              global_baseline.attribute_sets.size());
+    ASSERT_EQ(mined->patterns.size(), global_baseline.patterns.size());
+    for (std::size_t i = 0; i < mined->patterns.size(); ++i) {
+      EXPECT_EQ(mined->patterns[i].vertices,
+                global_baseline.patterns[i].vertices);
     }
   }
 }

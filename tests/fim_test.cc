@@ -11,7 +11,6 @@
 #include "graph/attributed_graph.h"
 #include "util/hybrid_set.h"
 #include "util/random.h"
-#include "util/simd_ops.h"
 #include "util/sorted_ops.h"
 
 namespace scpm {
@@ -362,107 +361,6 @@ TEST_P(AprioriHybridSweep, HybridOnOffProduceIdenticalItemsets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AprioriHybridSweep, ::testing::Range(0, 4));
-
-/// A universe past the 2^16 chunk threshold with ~1.5%-density tidsets:
-/// the mid-density band genuinely engages the chunked representation.
-/// Eclat and Apriori outputs must be byte-identical across
-/// {hybrid on/off} x {chunked on/off} x {simd on/off}, and the two
-/// miners must agree with each other. Kernel counters are compared
-/// between the miners (same intersections either way) and across simd
-/// on/off (dispatch is bit-exact and unobservable).
-TEST(ChunkedTidsetTest, EclatAndAprioriByteIdenticalAcrossKernelConfigs) {
-  // Restore the process-global dispatch state even when an assertion
-  // fires mid-loop, so a failure here cannot poison later tests.
-  struct DispatchRestore {
-    ~DispatchRestore() {
-      SetSimdDispatch(true);
-      HybridVertexSet::SetChunkedEnabled(true);
-    }
-  } restore;
-  Rng rng(101);
-  const VertexId n = 70000;
-  AttributedGraphBuilder builder(n);
-  const int num_attrs = 6;
-  for (int a = 0; a < num_attrs; ++a) {
-    builder.InternAttribute("a" + std::to_string(a));
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    for (AttributeId a = 0; a < num_attrs; ++a) {
-      if (rng.NextBool(0.015)) {
-        ASSERT_TRUE(builder.AddVertexAttribute(v, a).ok());
-      }
-    }
-  }
-  Result<AttributedGraph> g = builder.Build();
-  ASSERT_TRUE(g.ok());
-
-  EclatOptions options;
-  options.min_support = 4;
-
-  // Merge-only reference.
-  options.use_hybrid_tidsets = false;
-  Result<std::vector<FrequentItemset>> want = Eclat(options).MineAll(*g);
-  ASSERT_TRUE(want.ok());
-
-  options.use_hybrid_tidsets = true;
-  SetOpStats eclat_stats[2][2];  // [chunked][simd]
-  for (bool chunked_on : {false, true}) {
-    for (bool simd_on : {false, true}) {
-      HybridVertexSet::SetChunkedEnabled(chunked_on);
-      SetSimdDispatch(simd_on);
-      SetOpStats& stats = eclat_stats[chunked_on][simd_on];
-      Eclat eclat(options);
-      eclat.set_stats(&stats);
-      Result<std::vector<FrequentItemset>> got = eclat.MineAll(*g);
-      ASSERT_TRUE(got.ok());
-      ASSERT_EQ(got->size(), want->size());
-      for (std::size_t i = 0; i < got->size(); ++i) {
-        EXPECT_EQ((*got)[i].items, (*want)[i].items);
-        EXPECT_EQ((*got)[i].tidset, (*want)[i].tidset);
-      }
-
-      SetOpStats apriori_stats;
-      Apriori apriori(options);
-      apriori.set_stats(&apriori_stats);
-      Result<std::vector<FrequentItemset>> apriori_got = apriori.MineAll(*g);
-      ASSERT_TRUE(apriori_got.ok());
-      ASSERT_EQ(apriori_got->size(), want->size());
-      // Level order == DFS order only after the final (size, lex) sort;
-      // compare via the sorted reference the suite already checks.
-      std::map<AttributeSet, VertexSet> index;
-      for (const auto& s : *want) index[s.items] = s.tidset;
-      for (const auto& s : *apriori_got) {
-        auto it = index.find(s.items);
-        ASSERT_NE(it, index.end());
-        EXPECT_EQ(s.tidset, it->second);
-      }
-      if (chunked_on) {
-        // The point of the test: the chunked band genuinely engaged, in
-        // both miners.
-        EXPECT_GT(stats.chunked_conversions, 0u);
-        EXPECT_GT(stats.chunked_intersections, 0u);
-        EXPECT_GT(apriori_stats.chunked_intersections, 0u);
-      } else {
-        EXPECT_EQ(stats.chunked_conversions, 0u);
-        EXPECT_EQ(stats.chunked_intersections, 0u);
-      }
-    }
-  }
-
-  // SIMD dispatch is unobservable in the kernel counters too.
-  for (bool chunked_on : {false, true}) {
-    EXPECT_EQ(eclat_stats[chunked_on][0].chunked_intersections,
-              eclat_stats[chunked_on][1].chunked_intersections);
-    EXPECT_EQ(eclat_stats[chunked_on][0].bitmap_intersections,
-              eclat_stats[chunked_on][1].bitmap_intersections);
-    EXPECT_EQ(eclat_stats[chunked_on][0].galloping_intersections,
-              eclat_stats[chunked_on][1].galloping_intersections);
-    EXPECT_EQ(eclat_stats[chunked_on][0].dense_conversions,
-              eclat_stats[chunked_on][1].dense_conversions);
-    EXPECT_EQ(eclat_stats[chunked_on][0].chunked_conversions,
-              eclat_stats[chunked_on][1].chunked_conversions);
-  }
-}
 
 TEST(EclatTest, SupportIsAntiMonotone) {
   Rng rng(42);

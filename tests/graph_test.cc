@@ -265,15 +265,12 @@ TEST(SubgraphWorkspaceTest, ServesMultipleParentGraphs) {
   workspace.Recycle(std::move(b).value());
 }
 
-/// The chunked fast path of Build(HybridVertexSet): a mid-density set
-/// over a >= 2^16 universe stays in its roaring representation (no
-/// vector materialization, no stamp pass) and must produce the identical
-/// subgraph. 2000 of 70000 vertices (2.9%) lands in the chunked band and
-/// splits across two chunks — the first dense (bitmap payload), the
-/// second sparse (u16 payload) — so both in-chunk rank paths run.
-TEST(SubgraphWorkspaceTest, ChunkedBuildMatchesVectorBuild) {
+/// The dense path of Build(HybridVertexSet): a set past the density knee
+/// keeps its bitmap as the membership structure (local ids by word rank,
+/// no vector stamp pass) and must produce the identical subgraph.
+TEST(SubgraphWorkspaceTest, DenseBuildMatchesVectorBuild) {
   Rng rng(7);
-  const VertexId n = 70000;
+  const VertexId n = 5000;
   VertexSet members = rng.SampleWithoutReplacement(n, 2000);
   std::sort(members.begin(), members.end());
   std::vector<Edge> edges;
@@ -289,24 +286,22 @@ TEST(SubgraphWorkspaceTest, ChunkedBuildMatchesVectorBuild) {
 
   SetOpStats stats;
   HybridVertexSet set = HybridVertexSet::FromVector(members, n, &stats);
-  ASSERT_TRUE(set.chunked());  // the point of the test
-  ASSERT_TRUE(set.chunk_set().chunks().front().dense());
-  ASSERT_FALSE(set.chunk_set().chunks().back().dense());
+  ASSERT_TRUE(set.dense());  // the point of the test
 
   SubgraphWorkspace workspace;
-  Result<InducedSubgraph> chunked = workspace.Build(*g, std::move(set));
-  ASSERT_TRUE(chunked.ok()) << chunked.status();
+  Result<InducedSubgraph> dense = workspace.Build(*g, std::move(set));
+  ASSERT_TRUE(dense.ok()) << dense.status();
   Result<InducedSubgraph> plain = InducedSubgraph::Create(*g, members);
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(chunked->global_ids(), plain->global_ids());
-  ExpectSameGraph(chunked->graph(), plain->graph());
-  workspace.Recycle(std::move(chunked).value());
+  EXPECT_EQ(dense->global_ids(), plain->global_ids());
+  ExpectSameGraph(dense->graph(), plain->graph());
+  workspace.Recycle(std::move(dense).value());
 
   // Round 2 on recycled buffers, different member set.
   VertexSet other = rng.SampleWithoutReplacement(n, 1500);
   std::sort(other.begin(), other.end());
   HybridVertexSet set2 = HybridVertexSet::FromVector(other, n, &stats);
-  ASSERT_TRUE(set2.chunked());
+  ASSERT_TRUE(set2.dense());
   Result<InducedSubgraph> again = workspace.Build(*g, std::move(set2));
   ASSERT_TRUE(again.ok());
   Result<InducedSubgraph> plain2 = InducedSubgraph::Create(*g, other);
@@ -315,15 +310,14 @@ TEST(SubgraphWorkspaceTest, ChunkedBuildMatchesVectorBuild) {
   ExpectSameGraph(again->graph(), plain2->graph());
 }
 
-TEST(SubgraphWorkspaceTest, ChunkedBuildValidatesVertexRange) {
-  // Members live in [0, 70000) but the parent graph is smaller: the
-  // chunked path must reject the build like the other paths do.
+TEST(SubgraphWorkspaceTest, DenseBuildValidatesVertexRange) {
+  // The bitmap's universe exceeds the parent graph: the dense path must
+  // reject the build like the vector path does.
   Rng rng(11);
-  VertexSet members = rng.SampleWithoutReplacement(70000, 1000);
+  VertexSet members = rng.SampleWithoutReplacement(1000, 500);
   std::sort(members.begin(), members.end());
-  SetOpStats stats;
-  HybridVertexSet set = HybridVertexSet::FromVector(members, 70000, &stats);
-  ASSERT_TRUE(set.chunked());
+  HybridVertexSet set = HybridVertexSet::FromVector(members, 1000, nullptr);
+  ASSERT_TRUE(set.dense());
   Graph small(100);
   SubgraphWorkspace workspace;
   EXPECT_FALSE(workspace.Build(small, std::move(set)).ok());
@@ -414,6 +408,25 @@ class IoTest : public ::testing::Test {
 
   std::string Path(const std::string& name) { return (dir_ / name).string(); }
 
+  /// Writes `content` to `name` and loads it as an edge list; the load
+  /// must fail with an IoError that names `line` and contains `want`.
+  void ExpectEdgeListRejected(const std::string& name,
+                              const std::string& content,
+                              const std::string& line,
+                              const std::string& want) {
+    {
+      std::ofstream out(Path(name));
+      out << content;
+    }
+    Result<Graph> g = LoadEdgeList(Path(name));
+    ASSERT_FALSE(g.ok()) << content;
+    EXPECT_EQ(g.status().code(), StatusCode::kIoError);
+    EXPECT_NE(g.status().message().find(name + ":" + line + ":"),
+              std::string::npos)
+        << g.status();
+    EXPECT_NE(g.status().message().find(want), std::string::npos) << g.status();
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -457,6 +470,37 @@ TEST_F(IoTest, MalformedLineIsIoError) {
     out << "0 1\nhello world\n";
   }
   EXPECT_FALSE(LoadEdgeList(Path("bad.txt")).ok());
+}
+
+TEST_F(IoTest, HugeVertexIdIsIoErrorNotAllocation) {
+  // Used to size the graph at 4e9 vertices and abort with bad_alloc.
+  ExpectEdgeListRejected("huge.txt", "0 1\n1 4000000000\n", "2", "too large");
+  const std::string past_cap = std::to_string(kMaxLoadedVertexId + 1);
+  ExpectEdgeListRejected("cap.txt", "0 " + past_cap + "\n", "1", "too large");
+  ExpectEdgeListRejected("u64.txt", "0 99999999999999999999999\n", "1",
+                         "too large");
+}
+
+TEST_F(IoTest, ExtraTokensAreIoError) {
+  ExpectEdgeListRejected("extra.txt", "0 1\n0 1 2\n", "2",
+                         "expected exactly 'u v'");
+  ExpectEdgeListRejected("short.txt", "0\n", "1", "expected exactly 'u v'");
+  ExpectEdgeListRejected("suffix.txt", "0 2abc\n", "1", "expected a vertex id");
+}
+
+TEST_F(IoTest, NegativeVertexIdIsReportedAsNegative) {
+  ExpectEdgeListRejected("neg.txt", "-1 0\n", "1", "negative vertex id -1");
+  {
+    std::ofstream edges(Path("g.txt"));
+    edges << "0 1\n";
+    std::ofstream attrs(Path("a.txt"));
+    attrs << "0 red\n-1 blue\n";
+  }
+  Result<AttributedGraph> g = LoadAttributedGraph(Path("g.txt"), Path("a.txt"));
+  ASSERT_FALSE(g.ok());
+  EXPECT_NE(g.status().message().find("a.txt:2: negative vertex id"),
+            std::string::npos)
+      << g.status();
 }
 
 TEST_F(IoTest, CommentsAndBlanksIgnored) {

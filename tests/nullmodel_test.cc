@@ -147,9 +147,9 @@ TEST(SimExpTest, OneOnCompleteGraphFullSample) {
 }
 
 TEST(SimExpTest, BoundedBelowByZeroAboveByOne) {
-  Graph g = TestGraph(6, 150, 8.0);
+  Graph g = TestGraph(6, 80, 6.0);
   SimExpectationModel model(g, {.gamma = 0.5, .min_size = 3}, 10, 3);
-  for (std::size_t support : {10u, 40u, 80u, 150u}) {
+  for (std::size_t support : {10u, 30u, 50u, 80u}) {
     const double e = model.Expectation(support);
     EXPECT_GE(e, 0.0);
     EXPECT_LE(e, 1.0);
@@ -168,11 +168,11 @@ TEST(SimExpTest, EstimatesIndependentOfQueryOrder) {
   // Parallel SCPM first-touches supports in thread-timing order; each
   // support must draw from its own seed-derived stream so the estimate is
   // the same whatever was queried before it.
-  Graph g = TestGraph(12, 120, 8.0);
+  Graph g = TestGraph(12, 80, 6.0);
   const QuasiCliqueParams params{.gamma = 0.5, .min_size = 3};
   SimExpectationModel forward(g, params, 8, 77);
   SimExpectationModel backward(g, params, 8, 77);
-  const std::vector<std::size_t> supports = {10, 25, 40, 60, 90, 120};
+  const std::vector<std::size_t> supports = {10, 20, 35, 50, 65, 80};
   std::vector<double> a;
   for (std::size_t s : supports) a.push_back(forward.Expectation(s));
   std::vector<double> b(supports.size());
@@ -210,11 +210,11 @@ TEST(MaxExpTest, ThreadSafeConcurrentAccess) {
 class MaxDominatesSimSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaxDominatesSimSweep, MaxExpIsUpperBound) {
-  Graph g = TestGraph(GetParam(), 200, 7.0);
+  Graph g = TestGraph(GetParam(), 100, 6.0);
   const QuasiCliqueParams params{.gamma = 0.5, .min_size = 4};
   MaxExpectationModel max_model(g, params);
   SimExpectationModel sim_model(g, params, 15, GetParam() + 100);
-  for (std::size_t support : {20u, 60u, 120u, 200u}) {
+  for (std::size_t support : {15u, 40u, 70u, 100u}) {
     const double sim = sim_model.Expectation(support);
     const double bound = max_model.Expectation(support);
     // Allow tiny Monte-Carlo slack.

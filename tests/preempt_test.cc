@@ -111,10 +111,7 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
   EXPECT_EQ(a.counters.galloping_intersections,
             b.counters.galloping_intersections);
-  EXPECT_EQ(a.counters.chunked_intersections,
-            b.counters.chunked_intersections);
   EXPECT_EQ(a.counters.dense_conversions, b.counters.dense_conversions);
-  EXPECT_EQ(a.counters.chunked_conversions, b.counters.chunked_conversions);
 }
 
 ScpmResult DirectMine(const AttributedGraph& graph,
@@ -572,12 +569,14 @@ TEST(PreemptTest, DefaultDeadlineAppliesOnlyWhenQueryHasNone) {
 }
 
 TEST(PreemptTest, ParseQuerySpecRejectsProcessGlobalToggles) {
+  // The former process-global kernel toggles no longer exist; a query
+  // that still sends them is rejected like any other unknown member.
   for (const char* key : {"simd", "chunked"}) {
     JsonValue query = JsonValue::MakeObject();
     query.Set(key, JsonValue(true));
     Result<QuerySpec> spec = ParseQuerySpec(query);
     ASSERT_FALSE(spec.ok()) << key;
-    EXPECT_NE(spec.status().message().find("process-global"),
+    EXPECT_NE(spec.status().message().find("unknown query member"),
               std::string::npos)
         << spec.status();
   }

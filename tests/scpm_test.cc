@@ -15,15 +15,12 @@
 #include "core/naive.h"
 #include "core/pattern.h"
 #include "core/report.h"
-#include "core/scorp.h"
 #include "core/scpm.h"
 #include "core/statistics.h"
 #include "datasets/paper_example.h"
 #include "graph/generators.h"
 #include "nullmodel/expectation.h"
-#include "util/hybrid_set.h"
 #include "util/random.h"
-#include "util/simd_ops.h"
 
 namespace scpm {
 namespace {
@@ -486,10 +483,7 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
   EXPECT_EQ(a.counters.galloping_intersections,
             b.counters.galloping_intersections);
-  EXPECT_EQ(a.counters.chunked_intersections,
-            b.counters.chunked_intersections);
   EXPECT_EQ(a.counters.dense_conversions, b.counters.dense_conversions);
-  EXPECT_EQ(a.counters.chunked_conversions, b.counters.chunked_conversions);
 }
 
 void ExpectDeterministicAcrossThreadCounts(const AttributedGraph& g,
@@ -657,9 +651,7 @@ TEST(ParallelScpmTest, HybridSetsOnOffByteIdentical) {
   ScpmResult normalized = std::move(hybrid).value();
   normalized.counters.bitmap_intersections = 0;
   normalized.counters.galloping_intersections = 0;
-  normalized.counters.chunked_intersections = 0;
   normalized.counters.dense_conversions = 0;
-  normalized.counters.chunked_conversions = 0;
   ExpectIdenticalResults(*plain, normalized);
 
   // And both configurations are thread-count independent, including the
@@ -668,52 +660,6 @@ TEST(ParallelScpmTest, HybridSetsOnOffByteIdentical) {
     ScpmOptions sweep = options;
     sweep.use_hybrid_sets = hybrid_on;
     ExpectDeterministicAcrossThreadCounts(g, sweep, nullptr);
-  }
-}
-
-/// The SIMD dispatch path and the chunked-representation toggle are both
-/// contractually unobservable: across {simd on/off} x {chunked on/off},
-/// and for threads {1, 2, 8} within each cell, the full mining output —
-/// including every counter — must be byte-identical. (SIMD is bit-exact;
-/// on this graph's universe the chunked band never engages, so its
-/// counters are zero in all four cells and the comparison is exact.)
-TEST(ParallelScpmTest, SimdAndChunkedDispatchByteIdentical) {
-  // Restore the process-global dispatch state even when an assertion
-  // fires mid-loop, so a failure here cannot poison later tests.
-  struct DispatchRestore {
-    ~DispatchRestore() {
-      SetSimdDispatch(true);
-      HybridVertexSet::SetChunkedEnabled(true);
-    }
-  } restore;
-  const AttributedGraph g = RandomAttributed(37, /*n=*/120, /*num_attrs=*/4,
-                                             /*edge_p=*/0.08, /*attr_p=*/0.6);
-  ScpmOptions options;
-  options.quasi_clique.gamma = 0.6;
-  options.quasi_clique.min_size = 3;
-  options.min_support = 4;
-  options.min_epsilon = 0.05;
-  options.top_k = 3;
-
-  options.num_threads = 1;
-  ScpmMiner baseline_miner(options);
-  Result<ScpmResult> baseline = baseline_miner.Mine(g);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  ASSERT_GT(baseline->counters.bitmap_intersections, 0u);
-
-  for (bool simd_on : {false, true}) {
-    for (bool chunked_on : {false, true}) {
-      SetSimdDispatch(simd_on);
-      HybridVertexSet::SetChunkedEnabled(chunked_on);
-      for (std::size_t threads : {1u, 2u, 8u}) {
-        ScpmOptions cell = options;
-        cell.num_threads = threads;
-        ScpmMiner miner(cell);
-        Result<ScpmResult> result = miner.Mine(g);
-        ASSERT_TRUE(result.ok()) << result.status();
-        ExpectIdenticalResults(*baseline, *result);
-      }
-    }
   }
 }
 
@@ -744,26 +690,23 @@ TEST(ScpmOptionsTest, RejectsAbsurdThreadCounts) {
 }
 
 // ------------------------------------------------------- SCORP baseline
+//
+// SCORP (the paper's reference [16]) reports the complete maximal pattern
+// set of every qualifying attribute set instead of SCPM's top-k; here that
+// is ScpmMiner with pattern_scope = kAllMaximal and no null model.
+
+ScpmOptions AllMaximal(ScpmOptions options) {
+  options.pattern_scope = PatternScope::kAllMaximal;
+  return options;
+}
 
 TEST(ScorpTest, ReportsCompletePatternSets) {
   const AttributedGraph g = PaperExampleGraph();
-  ScorpMiner scorp(Table1Options());
+  ScpmMiner scorp(AllMaximal(Table1Options()));
   Result<ScpmResult> result = scorp.Mine(g);
   ASSERT_TRUE(result.ok()) << result.status();
   // SCORP with a top-k large enough equals SCPM here: 7 patterns.
   EXPECT_EQ(result->patterns.size(), 7u);
-}
-
-TEST(ScorpTest, IgnoresDeltaConfiguration) {
-  ScpmOptions options = Table1Options();
-  options.min_delta = 1e12;  // Would filter everything under SCPM.
-  ScorpMiner scorp(options);
-  EXPECT_DOUBLE_EQ(scorp.options().min_delta, 0.0);
-  EXPECT_EQ(scorp.options().pattern_scope, PatternScope::kAllMaximal);
-  const AttributedGraph g = PaperExampleGraph();
-  Result<ScpmResult> result = scorp.Mine(g);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->patterns.empty());
 }
 
 class ScorpSweep : public ::testing::TestWithParam<int> {};
@@ -778,7 +721,7 @@ TEST_P(ScorpSweep, SupersetOfScpmTopK) {
   options.top_k = 2;
 
   ScpmMiner scpm(options);
-  ScorpMiner scorp(options);
+  ScpmMiner scorp(AllMaximal(options));
   Result<ScpmResult> top = scpm.Mine(g);
   Result<ScpmResult> all = scorp.Mine(g);
   ASSERT_TRUE(top.ok());

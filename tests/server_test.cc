@@ -99,10 +99,7 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
   EXPECT_EQ(a.counters.galloping_intersections,
             b.counters.galloping_intersections);
-  EXPECT_EQ(a.counters.chunked_intersections,
-            b.counters.chunked_intersections);
   EXPECT_EQ(a.counters.dense_conversions, b.counters.dense_conversions);
-  EXPECT_EQ(a.counters.chunked_conversions, b.counters.chunked_conversions);
 }
 
 ScpmResult DirectMine(const AttributedGraph& graph,
