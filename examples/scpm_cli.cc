@@ -38,10 +38,8 @@
 //   --max-patterns 0   emitted-pattern budget, same cut discipline
 //   --checkpoint FILE  where to write the frontier checkpoint when a
 //                      budget cuts the run
-//   --ckpt-format V    checkpoint encoding: binary (default) or text
 //   --resume FILE      continue from a previous run's checkpoint (same
-//                      graph and thresholds required; format
-//                      auto-detected)
+//                      graph and thresholds required)
 //
 // Exit codes: 0 = lattice exhausted, 3 = budget cut the run (checkpoint
 // written if --checkpoint was given), 1 = runtime error, 2 = usage error.
@@ -55,7 +53,6 @@
 #include <memory>
 #include <string>
 
-#include "core/ckpt_codec.h"
 #include "core/engine.h"
 #include "core/report.h"
 #include "core/request.h"
@@ -76,8 +73,7 @@ void Usage() {
                "[--top-n N] "
                "[--sink accumulate|jsonl] [--out FILE] [--deadline-ms MS] "
                "[--max-evals N] [--max-patterns N] [--checkpoint FILE] "
-               "[--checkpoint-interval-ms MS] [--ckpt-format text|binary] "
-               "[--resume FILE]\n"
+               "[--checkpoint-interval-ms MS] [--resume FILE]\n"
                "run scpm_cli --help for the full flag reference\n";
 }
 
@@ -130,10 +126,6 @@ void Help() {
       "                     while mining (atomic tmp+rename replace, so a\n"
       "                     crash leaves the previous snapshot); 0 = only\n"
       "                     on a budget cut (0)\n"
-      "  --ckpt-format V    encoding for written checkpoints: binary (the\n"
-      "                     compact interned v2 form) or text (the v1\n"
-      "                     whitespace form); --resume auto-detects, so\n"
-      "                     either kind of file resumes (binary)\n"
       "  --resume FILE      continue from a previous run's checkpoint\n"
       "\n"
       "Other:\n"
@@ -170,7 +162,6 @@ int main(int argc, char** argv) {
   std::size_t top_n = 10;
   std::string out_path;
   std::string checkpoint_path;
-  scpm::CheckpointFormat ckpt_format = scpm::CheckpointFormat::kBinary;
   std::uint64_t checkpoint_interval_ms = 0;
   std::string resume_path;
 
@@ -243,16 +234,6 @@ int main(int argc, char** argv) {
       budget.max_patterns = static_cast<std::uint64_t>(std::atoll(value));
     } else if (flag == "--checkpoint") {
       checkpoint_path = value;
-    } else if (flag == "--ckpt-format") {
-      scpm::Result<scpm::CheckpointFormat> parsed =
-          scpm::ParseCheckpointFormat(value);
-      if (!parsed.ok()) {
-        std::cerr << "unknown --ckpt-format: " << value
-                  << " (want text or binary)\n";
-        Usage();
-        return 2;
-      }
-      ckpt_format = *parsed;
     } else if (flag == "--checkpoint-interval-ms") {
       checkpoint_interval_ms = static_cast<std::uint64_t>(std::atoll(value));
     } else if (flag == "--resume") {
@@ -285,12 +266,12 @@ int main(int argc, char** argv) {
     // atomically (write-to-temp + rename) so a kill at any moment
     // leaves either the previous or the new complete snapshot.
     request.checkpoint_interval_ms = checkpoint_interval_ms;
-    request.on_checkpoint = [&checkpoint_path, ckpt_format](
+    request.on_checkpoint = [&checkpoint_path](
                                 const scpm::EngineCheckpoint& cp,
                                 const scpm::EngineProgress&) {
       const std::string tmp = checkpoint_path + ".tmp";
       std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-      if (!out.is_open() || !cp.Save(out, ckpt_format).ok()) return;
+      if (!out.is_open() || !cp.Save(out).ok()) return;
       out.close();
       if (!out.good() ||
           std::rename(tmp.c_str(), checkpoint_path.c_str()) != 0) {
@@ -364,7 +345,7 @@ int main(int argc, char** argv) {
     if (!checkpoint_path.empty()) {
       std::ofstream out(checkpoint_path, std::ios::trunc | std::ios::binary);
       scpm::Status saved = out.is_open()
-                               ? run.checkpoint.Save(out, ckpt_format)
+                               ? run.checkpoint.Save(out)
                                : scpm::Status::IoError("cannot open " +
                                                        checkpoint_path);
       if (!saved.ok()) {

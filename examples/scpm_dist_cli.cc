@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 
-#include "core/ckpt_codec.h"
 #include "core/report.h"
 #include "core/request.h"
 #include "core/statistics.h"
@@ -35,7 +34,7 @@ void Usage() {
                "[--out FILE] [--workers W] [--batch-entries N] "
                "[--batch-evals N] [--worker-wave N] [--lease-ms MS] "
                "[--max-retries N] [--backoff-ms MS] [--state-dir DIR] "
-               "[--checkpoint-interval-ms MS] [--ckpt-format text|binary]\n"
+               "[--checkpoint-interval-ms MS]\n"
                "run scpm_dist_cli --help for the full flag reference\n";
 }
 
@@ -90,10 +89,6 @@ void Help() {
       "                     (requires --sink jsonl --out FILE)\n"
       "  --checkpoint-interval-ms MS  snapshot cadence under --state-dir\n"
       "                     (200)\n"
-      "  --ckpt-format V    encoding for batch frames and --state-dir\n"
-      "                     snapshots: binary (compact interned v2) or\n"
-      "                     text (v1); workers mirror the coordinator's\n"
-      "                     choice and recovery auto-detects (binary)\n"
       "\n"
       "Other:\n"
       "  --help             print this reference and exit 0\n"
@@ -200,16 +195,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--checkpoint-interval-ms") {
       dist.checkpoint_interval_ms =
           static_cast<std::uint64_t>(std::atoll(value));
-    } else if (flag == "--ckpt-format") {
-      scpm::Result<scpm::CheckpointFormat> parsed =
-          scpm::ParseCheckpointFormat(value);
-      if (!parsed.ok()) {
-        std::cerr << "unknown --ckpt-format: " << value
-                  << " (want text or binary)\n";
-        Usage();
-        return 2;
-      }
-      dist.ckpt_format = *parsed;
     } else {
       std::cerr << "unknown flag: " << flag << "\n";
       Usage();

@@ -18,7 +18,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/ckpt_codec.h"
 #include "graph/io.h"
 #include "server/server.h"
 
@@ -29,8 +28,7 @@ void Usage() {
                "[--threads T] [--max-concurrent C] [--queue-depth Q] "
                "[--memo-mb MB] [--memo-shards S] [--slice-ms MS] "
                "[--slice-evals N] [--default-deadline-ms MS] "
-               "[--state-dir PATH] [--checkpoint-interval-ms MS] "
-               "[--ckpt-format text|binary] [--dist-workers W]\n"
+               "[--state-dir PATH] [--checkpoint-interval-ms MS]\n"
                "run scpm_serve_cli --help for the full flag reference\n";
 }
 
@@ -85,14 +83,6 @@ void Help() {
       "                     directory after a crash (off)\n"
       "  --checkpoint-interval-ms MS  how often a running query's\n"
       "                     snapshot is persisted under --state-dir (1000)\n"
-      "  --ckpt-format V    encoding for persisted query snapshots:\n"
-      "                     binary (compact interned v2) or text (v1);\n"
-      "                     recovery auto-detects, so a server may be\n"
-      "                     restarted with either setting (binary)\n"
-      "  --dist-workers W   mine budgetless queries as one distributed\n"
-      "                     job across W forked worker processes with\n"
-      "                     leased, fault-tolerant batches (docs/DIST.md);\n"
-      "                     0 = off (0)\n"
       "  --help             print this reference and exit 0\n"
       "\n"
       "SIGTERM/SIGINT drain cleanly: admissions stop, running queries are\n"
@@ -152,18 +142,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--checkpoint-interval-ms") {
       options.checkpoint_interval_ms =
           static_cast<std::uint64_t>(std::atoll(value));
-    } else if (flag == "--ckpt-format") {
-      scpm::Result<scpm::CheckpointFormat> parsed =
-          scpm::ParseCheckpointFormat(value);
-      if (!parsed.ok()) {
-        std::cerr << "unknown --ckpt-format: " << value
-                  << " (want text or binary)\n";
-        Usage();
-        return 2;
-      }
-      options.ckpt_format = *parsed;
-    } else if (flag == "--dist-workers") {
-      options.dist_workers = static_cast<std::size_t>(std::atoll(value));
     } else {
       std::cerr << "unknown flag: " << flag << "\n";
       Usage();

@@ -1,29 +1,43 @@
-// EngineCheckpoint codecs: v1 text and v2 binary (see ckpt_codec.h for
-// the format rationale). Both live here so the two encoders and the
-// auto-detecting reader stay in one translation unit; engine.cc owns
-// only the mining machinery.
-
-#include "core/ckpt_codec.h"
+// EngineCheckpoint codec: the checksummed binary v2 form ("SCPB").
+//
+// The encoding is versioned and length-prefixed, and interns covered
+// vertex sets and attribute sets in shared dictionary tables so a set
+// referenced by many frontier entries is stored once. Table entries are
+// sorted lexicographically and front-coded (longest common prefix with
+// the previous entry + delta-encoded suffix), ids and all scalars are
+// LEB128 varints, and the payload carries an FNV-1a-64 checksum so
+// truncation and bit flips fail parsing instead of resuming from
+// silently wrong state. The dictionary approach follows ltsmin's
+// tree-compressed state database: frontier entries share most of their
+// covered sets, so structural sharing — not per-entry compression — is
+// where the bytes go.
+//
+// The length prefix lets embedders (the journal's q<id>.ckpt
+// meta+trailer layout, the dist batch/result frames) read a checkpoint
+// mid-stream and know exactly where it ends. Any other leading bytes —
+// including the retired v1 text form ("scpm-checkpoint 1 ...") — are a
+// typed kInvalidArgument; there is no migration path.
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
 #include "graph/types.h"
 #include "util/hybrid_set.h"
 #include "util/status.h"
 
 namespace scpm {
 namespace {
-
-// ------------------------------------------------------------ shared
 
 // Hot checkpoints carry live hybrid sets and leave the cold vector
 // empty; serialization materializes the cold form so a saved file is
@@ -34,189 +48,6 @@ VertexSet ColdCovered(const VertexSet& cold,
   return cold;
 }
 
-// --------------------------------------------------------- text (v1)
-
-void WriteVertexSet(std::ostream& os, const VertexSet& v) {
-  os << v.size();
-  for (VertexId x : v) os << ' ' << x;
-}
-
-bool ReadCount(std::istream& is, std::uint64_t limit, std::uint64_t* out) {
-  if (!(is >> *out)) return false;
-  return *out <= limit;
-}
-
-bool ReadVertexSet(std::istream& is, VertexSet* out) {
-  std::uint64_t count = 0;
-  if (!ReadCount(is, std::uint64_t{1} << 32, &count)) return false;
-  out->clear();
-  // The count is untrusted until the elements actually parse: cap the
-  // up-front reservation so a tiny file claiming 2^32 elements fails at
-  // the first missing token instead of in a giant allocation.
-  out->reserve(static_cast<std::size_t>(std::min<std::uint64_t>(count, 4096)));
-  for (std::uint64_t k = 0; k < count; ++k) {
-    VertexId v;
-    if (!(is >> v)) return false;
-    out->push_back(v);
-  }
-  return true;
-}
-
-bool ExpectToken(std::istream& is, const char* token) {
-  std::string word;
-  return (is >> word) && word == token;
-}
-
-Status SaveText(const EngineCheckpoint& cp, std::ostream& os) {
-  os << "scpm-checkpoint 1\n";
-  os << "graph " << cp.num_vertices << ' ' << cp.num_attributes << ' '
-     << cp.num_edges << "\n";
-  os << "options " << cp.options_fingerprint << "\n";
-  os << "phase " << (cp.in_roots_phase ? "roots" : "tree") << "\n";
-  os << "done-roots " << cp.done_roots.size() << "\n";
-  for (const EngineCheckpoint::DoneRoot& dr : cp.done_roots) {
-    os << "root " << dr.index << ' ' << dr.attr << ' ';
-    WriteVertexSet(os, ColdCovered(dr.covered, dr.hot_covered));
-    os << "\n";
-  }
-  os << "root-batches " << cp.root_batches.size() << "\n";
-  for (const EngineCheckpoint::PendingRootBatch& batch : cp.root_batches) {
-    os << "batch " << batch.attrs.size();
-    for (std::size_t k = 0; k < batch.attrs.size(); ++k) {
-      os << ' ' << batch.indices[k] << ' ' << batch.attrs[k];
-    }
-    os << "\n";
-  }
-  os << "classes " << cp.classes.size() << "\n";
-  for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
-    os << "class " << pc.path.size();
-    for (std::uint32_t p : pc.path) os << ' ' << p;
-    os << ' ' << pc.members.size() << "\n";
-    for (const EngineCheckpoint::Member& m : pc.members) {
-      os << "member " << m.items.size();
-      for (AttributeId a : m.items) os << ' ' << a;
-      os << ' ';
-      WriteVertexSet(os, ColdCovered(m.covered, m.hot_covered));
-      os << "\n";
-    }
-  }
-  os << "expansions " << cp.expansions.size() << "\n";
-  for (const EngineCheckpoint::PendingExpansion& e : cp.expansions) {
-    os << e.class_index << ' ' << e.sibling << "\n";
-  }
-  os << "end\n";
-  if (!os.good()) return Status::IoError("checkpoint write failed");
-  return Status::OK();
-}
-
-// The caller already consumed the "scpm-checkpoint" magic token while
-// detecting the format; parsing continues at the version number.
-Result<EngineCheckpoint> LoadTextBody(std::istream& is) {
-  const Status malformed = Status::InvalidArgument("malformed checkpoint");
-  EngineCheckpoint cp;
-  std::string word;
-  std::uint64_t version = 0;
-  if (!(is >> version)) return malformed;
-  if (version != 1) {
-    return Status::InvalidArgument("unsupported checkpoint version");
-  }
-  if (!ExpectToken(is, "graph") || !(is >> cp.num_vertices) ||
-      !(is >> cp.num_attributes) || !(is >> cp.num_edges)) {
-    return malformed;
-  }
-  if (!ExpectToken(is, "options") || !(is >> cp.options_fingerprint)) {
-    return malformed;
-  }
-  if (!ExpectToken(is, "phase") || !(is >> word)) return malformed;
-  if (word == "roots") {
-    cp.in_roots_phase = true;
-  } else if (word == "tree") {
-    cp.in_roots_phase = false;
-  } else {
-    return malformed;
-  }
-
-  constexpr std::uint64_t kMaxItems = std::uint64_t{1} << 32;
-  std::uint64_t count = 0;
-  if (!ExpectToken(is, "done-roots") || !ReadCount(is, kMaxItems, &count)) {
-    return malformed;
-  }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    EngineCheckpoint::DoneRoot dr;
-    if (!ExpectToken(is, "root") || !(is >> dr.index) || !(is >> dr.attr) ||
-        !ReadVertexSet(is, &dr.covered)) {
-      return malformed;
-    }
-    cp.done_roots.push_back(std::move(dr));
-  }
-
-  if (!ExpectToken(is, "root-batches") || !ReadCount(is, kMaxItems, &count)) {
-    return malformed;
-  }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    EngineCheckpoint::PendingRootBatch batch;
-    std::uint64_t size = 0;
-    if (!ExpectToken(is, "batch") || !ReadCount(is, kMaxItems, &size)) {
-      return malformed;
-    }
-    for (std::uint64_t j = 0; j < size; ++j) {
-      std::uint32_t index = 0;
-      AttributeId attr = 0;
-      if (!(is >> index) || !(is >> attr)) return malformed;
-      batch.indices.push_back(index);
-      batch.attrs.push_back(attr);
-    }
-    cp.root_batches.push_back(std::move(batch));
-  }
-
-  if (!ExpectToken(is, "classes") || !ReadCount(is, kMaxItems, &count)) {
-    return malformed;
-  }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    EngineCheckpoint::PendingClass pc;
-    std::uint64_t path_len = 0;
-    std::uint64_t members = 0;
-    if (!ExpectToken(is, "class") || !ReadCount(is, kMaxItems, &path_len)) {
-      return malformed;
-    }
-    for (std::uint64_t j = 0; j < path_len; ++j) {
-      std::uint32_t p = 0;
-      if (!(is >> p)) return malformed;
-      pc.path.push_back(p);
-    }
-    if (!ReadCount(is, kMaxItems, &members)) return malformed;
-    for (std::uint64_t j = 0; j < members; ++j) {
-      EngineCheckpoint::Member m;
-      std::uint64_t attrs = 0;
-      if (!ExpectToken(is, "member") || !ReadCount(is, kMaxItems, &attrs)) {
-        return malformed;
-      }
-      for (std::uint64_t a = 0; a < attrs; ++a) {
-        AttributeId id = 0;
-        if (!(is >> id)) return malformed;
-        m.items.push_back(id);
-      }
-      if (!ReadVertexSet(is, &m.covered)) return malformed;
-      pc.members.push_back(std::move(m));
-    }
-    cp.classes.push_back(std::move(pc));
-  }
-
-  if (!ExpectToken(is, "expansions") || !ReadCount(is, kMaxItems, &count)) {
-    return malformed;
-  }
-  for (std::uint64_t k = 0; k < count; ++k) {
-    EngineCheckpoint::PendingExpansion e;
-    if (!(is >> e.class_index) || !(is >> e.sibling)) return malformed;
-    cp.expansions.push_back(e);
-  }
-  if (!ExpectToken(is, "end")) return malformed;
-  cp.valid = true;
-  return cp;
-}
-
-// ------------------------------------------------------- binary (v2)
-//
 // Layout ("fixed64" = 8 bytes little-endian, everything else varint):
 //
 //   "SCPB"  varint version=2  fixed64 fnv1a64(payload)  varint |payload|
@@ -487,9 +318,9 @@ std::string EncodeBinary(const EngineCheckpoint& cp) {
   return out;
 }
 
-// The caller already consumed the 4-byte magic while detecting the
-// format; `is` is positioned at the version varint.
-Result<EngineCheckpoint> LoadBinaryBody(std::istream& is) {
+// The caller already consumed and checked the 4-byte magic; `is` is
+// positioned at the version varint.
+Result<EngineCheckpoint> LoadBody(std::istream& is) {
   const Status malformed = Status::InvalidArgument("malformed checkpoint");
   // Prefix fields (version, checksum, length) are read byte-by-byte off
   // the stream; the payload is then pulled in one read of exactly the
@@ -615,65 +446,31 @@ Result<EngineCheckpoint> LoadBinaryBody(std::istream& is) {
 
 // ----------------------------------------------- EngineCheckpoint API
 
-Status EngineCheckpoint::Save(std::ostream& os, CheckpointFormat format) const {
-  if (format == CheckpointFormat::kText) return SaveText(*this, os);
+Status EngineCheckpoint::Save(std::ostream& os) const {
   const std::string encoded = EncodeBinary(*this);
   os.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
   if (!os.good()) return Status::IoError("checkpoint write failed");
   return Status::OK();
 }
 
-std::string EngineCheckpoint::Serialize(CheckpointFormat format) const {
-  if (format == CheckpointFormat::kBinary) return EncodeBinary(*this);
-  std::ostringstream os;
-  SaveText(*this, os).ok();
-  return os.str();
-}
+std::string EngineCheckpoint::Serialize() const { return EncodeBinary(*this); }
 
 Result<EngineCheckpoint> EngineCheckpoint::Load(std::istream& is) {
-  return LoadCheckpoint(is, nullptr);
+  // Leading whitespace is tolerated: the journal and the dist frames
+  // terminate the preceding meta line with '\n'.
+  is >> std::ws;
+  char magic[4];
+  if (!is.read(magic, 4) || std::memcmp(magic, kBinaryMagic, 4) != 0) {
+    return Status::InvalidArgument(
+        "not a binary (SCPB) checkpoint; v1 text checkpoints are no longer "
+        "read");
+  }
+  return LoadBody(is);
 }
 
 Result<EngineCheckpoint> EngineCheckpoint::Parse(const std::string& text) {
   std::istringstream is(text);
   return Load(is);
-}
-
-Result<EngineCheckpoint> LoadCheckpoint(std::istream& is,
-                                        CheckpointFormat* detected) {
-  const Status malformed = Status::InvalidArgument("malformed checkpoint");
-  // Both formats tolerate leading whitespace (the journal and the dist
-  // frames terminate the preceding meta line with '\n').
-  is >> std::ws;
-  char magic[4];
-  if (!is.read(magic, 4)) return malformed;
-  if (std::memcmp(magic, kBinaryMagic, 4) == 0) {
-    if (detected != nullptr) *detected = CheckpointFormat::kBinary;
-    return LoadBinaryBody(is);
-  }
-  if (detected != nullptr) *detected = CheckpointFormat::kText;
-  // Text magic is the token "scpm-checkpoint": re-attach the 4 consumed
-  // bytes to the token read.
-  std::string word(magic, 4);
-  std::string rest;
-  if (!(is >> rest)) return malformed;
-  word += rest;
-  if (word != "scpm-checkpoint") return malformed;
-  return LoadTextBody(is);
-}
-
-Result<CheckpointFormat> ParseCheckpointFormat(const std::string& name) {
-  if (name == "text") return CheckpointFormat::kText;
-  if (name == "binary") return CheckpointFormat::kBinary;
-  return Status::InvalidArgument("unknown checkpoint format: " + name);
-}
-
-const char* CheckpointFormatName(CheckpointFormat format) {
-  return format == CheckpointFormat::kText ? "text" : "binary";
-}
-
-void AppendCheckpointVarint(std::string* out, std::uint64_t value) {
-  AppendVarint(out, value);
 }
 
 }  // namespace scpm

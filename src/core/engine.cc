@@ -371,6 +371,14 @@ class EngineRunner {
                 "checkpoint member attr out of range");
           }
         }
+        // Every attribute set belongs to exactly one class. A repeat
+        // would share one cache slot between two classes, and the first
+        // class to finish would evict the covered set the other still
+        // needs.
+        if (cache_.Lookup(m.items) != nullptr) {
+          return Status::InvalidArgument(
+              "checkpoint member attribute set appears twice");
+        }
         Node node;
         node.items = m.items;
         if (m.hot_covered != nullptr) {
@@ -1208,6 +1216,6 @@ Result<MiningRun> ScpmEngine::Resume(const AttributedGraph& graph,
   return runner.TakeRun();
 }
 
-// Checkpoint codecs (text v1, binary v2) live in core/ckpt_codec.cc.
+// The checkpoint codec (binary v2) lives in core/ckpt_codec.cc.
 
 }  // namespace scpm

@@ -61,14 +61,6 @@ namespace scpm {
 class ParallelismBudget;
 class ThreadPool;
 
-/// On-disk / on-wire encoding for EngineCheckpoint (see
-/// core/ckpt_codec.h for the layouts).
-///  kText   — format version 1, the original whitespace-token form.
-///  kBinary — format version 2, length-prefixed with interned set
-///            tables; several times smaller and the default everywhere.
-/// Readers auto-detect; the enum only selects what writers emit.
-enum class CheckpointFormat : std::uint8_t { kText = 1, kBinary = 2 };
-
 /// Cross-run evaluation memo consulted by the engine, one lookup per
 /// attribute-set evaluation. The stored value is the complete outcome of
 /// evaluating an attribute set — its Theorem-3 covered set, whether it
@@ -180,12 +172,13 @@ class EngineCheckpoint {
     return root_batches.empty() && classes.empty() && !valid;
   }
 
-  Status Save(std::ostream& os,
-              CheckpointFormat format = CheckpointFormat::kBinary) const;
-  std::string Serialize(
-      CheckpointFormat format = CheckpointFormat::kBinary) const;
-  /// Load/Parse detect the format from the leading bytes; v1 text files
-  /// written before the binary codec landed keep resuming unchanged.
+  /// The one on-disk / on-wire encoding: checksummed binary v2 with
+  /// interned set tables (layout in core/ckpt_codec.cc). Load/Parse
+  /// reject any other bytes with kInvalidArgument; Load stops at the
+  /// encoding's length prefix, so bytes after the checkpoint stay in the
+  /// stream.
+  Status Save(std::ostream& os) const;
+  std::string Serialize() const;
   static Result<EngineCheckpoint> Load(std::istream& is);
   static Result<EngineCheckpoint> Parse(const std::string& text);
 

@@ -341,7 +341,6 @@ class Coordinator {
       payload.max_evaluations = dist_.batch_evals;
       payload.wave = dist_.worker_wave;
       payload.lease_ms = dist_.lease_ms;
-      payload.ckpt_format = dist_.ckpt_format;
       payload.checkpoint = batch.checkpoint;
       Frame frame;
       frame.type = FrameType::kBatch;
@@ -638,31 +637,6 @@ Status DistOptions::Validate() const {
   return Status::OK();
 }
 
-Result<MiningRun> MineToSink(const AttributedGraph& graph,
-                             const ScpmOptions& options, PatternSink* sink,
-                             const DistOptions& dist_options,
-                             ExpectationModel* null_model, DistStats* stats,
-                             CancelToken* cancel) {
-  SCPM_RETURN_IF_ERROR(ValidateCommon(options, dist_options));
-  if (!dist_options.state_dir.empty()) {
-    return Status::InvalidArgument(
-        "MineToSink does not manage durable state; use dist::Mine for "
-        "state_dir support");
-  }
-  if (sink == nullptr) {
-    return Status::InvalidArgument("sink must not be null");
-  }
-  std::unique_ptr<MaxExpectationModel> owned_model;
-  if (null_model == nullptr && options.min_delta > 0.0) {
-    owned_model = std::make_unique<MaxExpectationModel>(graph.graph(),
-                                                        options.quasi_clique);
-    null_model = owned_model.get();
-  }
-  Coordinator coordinator(graph, options, dist_options, sink, null_model,
-                          stats, cancel);
-  return coordinator.Run();
-}
-
 Result<MiningResponse> Mine(const AttributedGraph& graph,
                             const MiningRequest& request,
                             const DistOptions& dist_options,
@@ -701,7 +675,6 @@ Result<MiningResponse> Mine(const AttributedGraph& graph,
         StateStore::Open(dist_options.state_dir);
     if (!opened.ok()) return opened.status();
     store = std::move(opened).value();
-    store->set_checkpoint_format(dist_options.ckpt_format);
     const RecoveryScan scan = store->Scan();
     std::uint64_t epoch = scan.epoch + 1;
     const bool shape_matches =

@@ -60,10 +60,6 @@ struct DistOptions {
   std::string state_dir;
   /// Snapshot cadence under state_dir.
   std::uint64_t checkpoint_interval_ms = 200;
-  /// Encoding for the EngineCheckpoint embedded in batch/result frames
-  /// and in durable snapshots (readers auto-detect; workers mirror the
-  /// format of the batch they received).
-  CheckpointFormat ckpt_format = CheckpointFormat::kBinary;
   /// Called once per forked worker with (worker index, pid) — the CLI
   /// announces pids on stderr so harnesses can aim kill(2) at one.
   std::function<void(std::size_t, long)> on_worker_spawn;
@@ -112,17 +108,6 @@ Result<MiningResponse> Mine(const AttributedGraph& graph,
                             ExpectationModel* null_model = nullptr,
                             DistStats* stats = nullptr,
                             CancelToken* cancel = nullptr);
-
-/// Sink-level variant for callers that own their sinks (the query
-/// server): mines into `sink` and returns the aggregate run
-/// (exhausted, summed counters, emission totals). Durability is
-/// Mine()-only — state_dir must be empty here.
-Result<MiningRun> MineToSink(const AttributedGraph& graph,
-                             const ScpmOptions& options, PatternSink* sink,
-                             const DistOptions& dist_options,
-                             ExpectationModel* null_model = nullptr,
-                             DistStats* stats = nullptr,
-                             CancelToken* cancel = nullptr);
 
 }  // namespace dist
 }  // namespace scpm

@@ -16,9 +16,16 @@ void FrontierPool::BindTo(const EngineCheckpoint& cp) {
 }
 
 void FrontierPool::Ingest(const EngineCheckpoint& cp) {
+  std::erase_if(by_path_,
+                [](const auto& entry) { return entry.second.expired(); });
   std::vector<std::shared_ptr<PoolClass>> classes;
   classes.reserve(cp.classes.size());
   for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
+    std::weak_ptr<PoolClass>& live = by_path_[pc.path];
+    if (std::shared_ptr<PoolClass> existing = live.lock()) {
+      classes.push_back(std::move(existing));
+      continue;
+    }
     auto cls = std::make_shared<PoolClass>();
     cls->path = pc.path;
     cls->members = pc.members;
@@ -28,6 +35,7 @@ void FrontierPool::Ingest(const EngineCheckpoint& cp) {
       m.hot_covered.reset();
       m.hot_tidset = HybridVertexSet();
     }
+    live = cls;
     classes.push_back(std::move(cls));
   }
   for (const EngineCheckpoint::PendingExpansion& e : cp.expansions) {

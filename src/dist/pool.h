@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -40,7 +41,11 @@ class FrontierPool {
   void BindTo(const EngineCheckpoint& cp);
 
   /// Moves a tree-phase checkpoint's entries into the pool (the roots
-  /// cut, or a lease's unfinished remainder).
+  /// cut, or a lease's unfinished remainder). A class whose path matches
+  /// one still referenced by pool entries is the same class (a lease's
+  /// remainder repeats the classes of the batch it was cut from), so
+  /// its entries join that PoolClass: a batch never carries one path —
+  /// and so one member attribute set — twice.
   void Ingest(const EngineCheckpoint& cp);
 
   bool empty() const { return entries_.empty(); }
@@ -64,6 +69,8 @@ class FrontierPool {
 
   EngineCheckpoint binding_;
   std::deque<PoolEntry> entries_;
+  /// Path -> class, alive exactly while some entry in entries_ holds it.
+  std::map<std::vector<std::uint32_t>, std::weak_ptr<PoolClass>> by_path_;
 };
 
 }  // namespace dist

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "core/ckpt_codec.h"
 #include "core/statistics.h"
 
 namespace scpm {
@@ -159,7 +158,7 @@ std::string EncodeBatch(const BatchPayload& batch) {
   std::ostringstream os;
   os << "dist-batch 1 " << batch.max_evaluations << ' ' << batch.wave << ' '
      << batch.lease_ms << '\n';
-  (void)batch.checkpoint.Save(os, batch.ckpt_format);
+  (void)batch.checkpoint.Save(os);
   return os.str();
 }
 
@@ -173,7 +172,7 @@ Result<BatchPayload> DecodeBatch(const std::string& text) {
       magic != "dist-batch" || version != 1) {
     return Status::IoError("malformed dist batch payload");
   }
-  Result<EngineCheckpoint> cp = LoadCheckpoint(in, &batch.ckpt_format);
+  Result<EngineCheckpoint> cp = EngineCheckpoint::Load(in);
   if (!cp.ok()) return cp.status();
   batch.checkpoint = std::move(cp).value();
   return batch;
@@ -208,7 +207,7 @@ std::string EncodeResult(const ResultPayload& result) {
   }
   os << "remainder " << (result.exhausted ? 0 : 1) << '\n';
   if (!result.exhausted) {
-    (void)result.remainder.Save(os, result.ckpt_format);
+    (void)result.remainder.Save(os);
   }
   os << "dist-end\n";
   return os.str();
@@ -284,7 +283,7 @@ Result<ResultPayload> DecodeResult(const std::string& text) {
   if (!(in >> tok >> remainder) || tok != "remainder") return bad("remainder");
   if ((remainder != 0) == result.exhausted) return bad("remainder flag");
   if (remainder != 0) {
-    Result<EngineCheckpoint> cp = LoadCheckpoint(in, &result.ckpt_format);
+    Result<EngineCheckpoint> cp = EngineCheckpoint::Load(in);
     if (!cp.ok()) return cp.status();
     result.remainder = std::move(cp).value();
   }

@@ -25,11 +25,8 @@
 // Payload codecs are plain whitespace-separated text for the framing
 // fields — doubles travel as uint64 bit patterns so results merge
 // byte-identically — while the embedded EngineCheckpoint (the bulk of
-// every batch and of any unfinished result) uses whichever checkpoint
-// codec the coordinator selected, binary by default (see
-// core/ckpt_codec.h). Receivers auto-detect, and a worker mirrors the
-// format of the batch it received when encoding the remainder, so the
-// format negotiates per lease with no extra handshake.
+// every batch and of any unfinished result) uses the binary checkpoint
+// codec (see core/ckpt_codec.cc).
 
 #ifndef SCPM_DIST_PROTOCOL_H_
 #define SCPM_DIST_PROTOCOL_H_
@@ -82,10 +79,6 @@ struct BatchPayload {
   std::uint64_t max_evaluations = 0;
   std::size_t wave = 0;
   std::uint64_t lease_ms = 0;
-  /// Encoding of `checkpoint` in the encoded payload. EncodeBatch
-  /// writes it; DecodeBatch reports the detected format so the worker
-  /// can mirror it in its result.
-  CheckpointFormat ckpt_format = CheckpointFormat::kBinary;
   EngineCheckpoint checkpoint;
 };
 
@@ -104,9 +97,6 @@ struct ResultPayload {
     AttributeSetOutput output;
   };
   std::vector<Emission> emissions;
-  /// Encoding of `remainder`; workers set it to the format of the
-  /// batch they are answering.
-  CheckpointFormat ckpt_format = CheckpointFormat::kBinary;
   EngineCheckpoint remainder;  // valid only when !exhausted
 };
 

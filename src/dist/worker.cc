@@ -113,10 +113,6 @@ int WorkerMain(int fd, std::size_t worker_index, const AttributedGraph& graph,
 
     result.exhausted = run->exhausted;
     result.counters = run->counters;
-    // Mirror the coordinator's checkpoint format: the remainder goes
-    // back the way the batch came in, so the format negotiates per
-    // lease without a handshake.
-    result.ckpt_format = batch->ckpt_format;
     if (!run->exhausted) result.remainder = std::move(run->checkpoint);
 
     Frame reply;

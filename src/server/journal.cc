@@ -155,7 +155,7 @@ Status StateStore::WriteCheckpoint(std::uint64_t id, const EngineCheckpoint& cp,
   const std::string text = "scpm-query-meta 1 " + std::to_string(emitted) +
                            ' ' + std::to_string(patterns_emitted) + ' ' +
                            std::to_string(jsonl_lines) + '\n' +
-                           cp.Serialize(ckpt_format_) + trailer;
+                           cp.Serialize() + trailer;
   if (!WriteFully(fd, text)) {
     const std::string err = std::strerror(errno);
     ::close(fd);
@@ -302,8 +302,8 @@ RecoveryScan StateStore::Scan() const {
       if (loaded.ok()) {
         entry.query.checkpoint = std::move(loaded).value();
         entry.query.has_checkpoint = true;
-        // Everything past the snapshot's "end" token is the writer's
-        // trailer; hand it back byte-for-byte.
+        // Everything past the snapshot's length-prefixed payload is the
+        // writer's trailer; hand it back byte-for-byte.
         std::ostringstream rest;
         rest << ckpt.rdbuf();
         entry.query.trailer = rest.str();

@@ -129,21 +129,13 @@ class StateStore {
   /// cannot be transactional with a separate file, a header in the
   /// renamed file is). On any failure the previous checkpoint file (if
   /// one exists) is untouched. `trailer` bytes, if any, are appended
-  /// verbatim after the snapshot (EngineCheckpoint::Load consumes the
-  /// checkpoint exactly — the text codec stops at its "end" token, the
-  /// binary codec at its length prefix — so Scan() hands them back
-  /// untouched in RecoveredQuery::trailer).
+  /// verbatim after the snapshot (EngineCheckpoint::Load stops at the
+  /// codec's length prefix, so Scan() hands them back untouched in
+  /// RecoveredQuery::trailer).
   Status WriteCheckpoint(std::uint64_t id, const EngineCheckpoint& cp,
                          std::uint64_t emitted, std::uint64_t patterns_emitted,
                          std::uint64_t jsonl_lines,
                          const std::string& trailer = std::string());
-
-  /// Encoding for checkpoint files this store writes (default binary;
-  /// Scan() auto-detects on read either way, so stores can change
-  /// format across restarts and still recover old files).
-  void set_checkpoint_format(CheckpointFormat format) {
-    ckpt_format_ = format;
-  }
 
   /// Best-effort cleanup once a query is terminal.
   void RemoveCheckpoint(std::uint64_t id);
@@ -160,7 +152,6 @@ class StateStore {
   mutable std::mutex mutex_;
   int journal_fd_ = -1;
   JournalStats stats_;
-  CheckpointFormat ckpt_format_ = CheckpointFormat::kBinary;
 };
 
 }  // namespace scpm

@@ -131,7 +131,6 @@ Status ScpmServer::Recover() {
   if (!opened.ok()) return opened.status();
 
   std::unique_ptr<StateStore> store = std::move(opened).value();
-  store->set_checkpoint_format(options_.ckpt_format);
   const RecoveryScan scan = store->Scan();
   recovery_warnings_ = scan.warnings;
 
@@ -480,37 +479,6 @@ bool ScpmServer::RunSlice(const std::shared_ptr<QuerySession>& session) {
     session->set_null_model(
         NullModelFor(session->spec().options, epoch, *graph));
   }
-  if (options_.dist_workers > 0 && session->DistEligible()) {
-    // Budgetless queries fork out into one fault-tolerant leased job
-    // (docs/DIST.md) and come back terminal in a single pickup.
-    dist::DistOptions dist_options;
-    dist_options.workers = options_.dist_workers;
-    dist::DistStats stats;
-    const bool terminal = session->ExecuteDistributed(dist_options, &stats);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++dist_queries_;
-      dist_lease_failures_ += stats.events.size();
-      dist_stats_.batches += stats.batches;
-      dist_stats_.heartbeat_timeouts += stats.heartbeat_timeouts;
-      dist_stats_.worker_exits += stats.worker_exits;
-      dist_stats_.corrupt_results += stats.corrupt_results;
-      dist_stats_.worker_failures += stats.worker_failures;
-      dist_stats_.retries += stats.retries;
-      dist_stats_.backoff_ms_total += stats.backoff_ms_total;
-      dist_stats_.inline_fallbacks += stats.inline_fallbacks;
-      if (dist_stats_.workers.size() < stats.workers.size()) {
-        dist_stats_.workers.resize(stats.workers.size());
-      }
-      for (std::size_t i = 0; i < stats.workers.size(); ++i) {
-        dist_stats_.workers[i].batches += stats.workers[i].batches;
-        dist_stats_.workers[i].reassignments += stats.workers[i].reassignments;
-        dist_stats_.workers[i].retries += stats.workers[i].retries;
-        dist_stats_.workers[i].backoff_ms += stats.workers[i].backoff_ms;
-      }
-    }
-    return terminal;
-  }
   if (memo_ == nullptr) {
     return session->ExecuteSlice(pool_.get(), &intra_budget_, nullptr,
                                  slice_policy_);
@@ -585,34 +553,6 @@ JsonValue ScpmServer::Stats() const {
     memo.Set("max_bytes", JsonValue(std::uint64_t{options_.memo.max_bytes}));
   }
   out.Set("memo", std::move(memo));
-
-  JsonValue dist = JsonValue::MakeObject();
-  dist.Set("enabled", JsonValue(options_.dist_workers > 0));
-  if (options_.dist_workers > 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    dist.Set("workers", JsonValue(std::uint64_t{options_.dist_workers}));
-    dist.Set("queries", JsonValue(dist_queries_));
-    dist.Set("batches", JsonValue(dist_stats_.batches));
-    dist.Set("retries", JsonValue(dist_stats_.retries));
-    dist.Set("heartbeat_timeouts", JsonValue(dist_stats_.heartbeat_timeouts));
-    dist.Set("worker_exits", JsonValue(dist_stats_.worker_exits));
-    dist.Set("corrupt_results", JsonValue(dist_stats_.corrupt_results));
-    dist.Set("worker_failures", JsonValue(dist_stats_.worker_failures));
-    dist.Set("inline_fallbacks", JsonValue(dist_stats_.inline_fallbacks));
-    dist.Set("backoff_ms_total", JsonValue(dist_stats_.backoff_ms_total));
-    dist.Set("lease_failures", JsonValue(dist_lease_failures_));
-    JsonValue workers = JsonValue::MakeArray();
-    for (const dist::DistWorkerStats& ws : dist_stats_.workers) {
-      JsonValue w = JsonValue::MakeObject();
-      w.Set("batches", JsonValue(ws.batches));
-      w.Set("reassignments", JsonValue(ws.reassignments));
-      w.Set("retries", JsonValue(ws.retries));
-      w.Set("backoff_ms", JsonValue(ws.backoff_ms));
-      workers.MutableArray()->push_back(std::move(w));
-    }
-    dist.Set("per_worker", std::move(workers));
-  }
-  out.Set("dist", std::move(dist));
 
   out.Set("uptime_ms",
           JsonValue(std::chrono::duration<double, std::milli>(
@@ -789,6 +729,39 @@ std::string ScpmServer::HandleRequest(const std::string& line) {
       .Dump();
 }
 
+void ScpmServer::ServeConnection(int client) {
+  std::string buffer;  // the unterminated tail of the stream
+  char chunk[4096];
+  while (true) {
+    const ssize_t n = ::recv(client, chunk, sizeof(chunk), 0);
+    if (n <= 0) return;
+    // Bytes already buffered were scanned on an earlier chunk and hold
+    // no newline: only the bytes just appended are searched.
+    std::size_t from = buffer.size();
+    buffer.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
+    std::size_t newline;
+    bool too_long = false;
+    while ((newline = buffer.find('\n', from)) != std::string::npos) {
+      too_long = newline - start > kMaxRequestLineBytes;
+      if (too_long) break;
+      const std::string line = buffer.substr(start, newline - start);
+      start = from = newline + 1;
+      if (!line.empty() && !SendAll(client, HandleRequest(line) + "\n")) {
+        return;
+      }
+    }
+    buffer.erase(0, start);
+    if (too_long || buffer.size() > kMaxRequestLineBytes) {
+      const Status status = Status::InvalidArgument(
+          "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+          " bytes");
+      (void)SendAll(client, ErrorResponse(status).Dump() + "\n");
+      return;
+    }
+  }
+}
+
 Status ScpmServer::Serve(const std::string& path) {
   if (path.size() + 1 > sizeof(sockaddr_un::sun_path)) {
     return Status::InvalidArgument("socket path too long: " + path);
@@ -857,20 +830,7 @@ Status ScpmServer::Serve(const std::string& path) {
       clients.push_back(client);
     }
     connections.emplace_back([this, client, &clients_mutex, &clients] {
-      std::string buffer;
-      char chunk[4096];
-      while (true) {
-        const ssize_t n = ::recv(client, chunk, sizeof(chunk), 0);
-        if (n <= 0) break;
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t newline;
-        while ((newline = buffer.find('\n')) != std::string::npos) {
-          const std::string line = buffer.substr(0, newline);
-          buffer.erase(0, newline + 1);
-          if (line.empty()) continue;
-          if (!SendAll(client, HandleRequest(line) + "\n")) break;
-        }
-      }
+      ServeConnection(client);
       std::lock_guard<std::mutex> lock(clients_mutex);
       clients.erase(std::find(clients.begin(), clients.end(), client));
       ::close(client);

@@ -53,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "dist/dist.h"
 #include "graph/attributed_graph.h"
 #include "nullmodel/expectation.h"
 #include "server/json.h"
@@ -69,6 +68,11 @@ namespace scpm {
 /// "v": <n>; absent means 1, anything other than 1 is rejected with
 /// kInvalidArgument, and stats reports protocol_version.
 inline constexpr std::uint64_t kProtocolVersion = 1;
+
+/// Longest request line Serve() buffers, newline excluded. A client
+/// whose line grows past it gets one typed kInvalidArgument response
+/// and the connection closes.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions {
   /// Worker threads of the shared pool (every query's evaluation and
@@ -99,18 +103,6 @@ struct ServerOptions {
   /// engine's between-wave observer and at slice boundaries. Used only
   /// with state_dir set.
   std::uint64_t checkpoint_interval_ms = 1000;
-  /// Encoding for q<id>.ckpt snapshot files (recovery auto-detects, so
-  /// changing this across restarts is safe). Used only with state_dir.
-  CheckpointFormat ckpt_format = CheckpointFormat::kBinary;
-  /// Distributed execution (docs/DIST.md): > 0 forks this many worker
-  /// processes per eligible query and mines it as one fault-tolerant
-  /// leased job instead of sliced segments. Eligible = an unlimited
-  /// budget after the default deadline applied (so default_deadline_ms
-  /// != 0 disables it for every query that doesn't opt out of
-  /// deadlines) and no crash-recovered snapshot. Distributed queries
-  /// bypass the shared pool, the memo, and per-query durability
-  /// snapshots (a crash re-runs them whole).
-  std::size_t dist_workers = 0;
 };
 
 /// What happens to queries pinned to the old graph at Reload().
@@ -210,7 +202,7 @@ class ScpmServer {
   /// Serves the newline-delimited JSON protocol on a Unix domain socket
   /// until a shutdown request (or Shutdown()) arrives. Blocking; one
   /// thread per accepted connection. An existing socket file at `path`
-  /// is replaced.
+  /// is replaced. Request lines are capped at kMaxRequestLineBytes.
   Status Serve(const std::string& path);
 
   /// Snapshot of the currently served graph (epoch-dependent).
@@ -226,6 +218,10 @@ class ScpmServer {
   };
 
   void DriverLoop();
+  /// Reads newline-delimited requests off one accepted connection and
+  /// answers each, until the peer hangs up, a send fails, or a line
+  /// outgrows kMaxRequestLineBytes.
+  void ServeConnection(int client);
   /// One driver pickup: bind pins if first time, run one slice, report
   /// whether the session must be re-enqueued.
   bool RunSlice(const std::shared_ptr<QuerySession>& session);
@@ -273,12 +269,6 @@ class ScpmServer {
   std::uint64_t rejected_ = 0;
   std::size_t running_ = 0;
   std::uint64_t recovered_queries_ = 0;
-  /// Distributed-execution aggregates across every dist-routed query
-  /// (scalar counters summed, per-worker stats element-wise; events are
-  /// only counted here — each query's own events ride its session).
-  dist::DistStats dist_stats_;
-  std::uint64_t dist_queries_ = 0;
-  std::uint64_t dist_lease_failures_ = 0;
 
   /// Durable state (journal + checkpoints); nullptr until Recover()
   /// opens it. The store synchronizes internally.

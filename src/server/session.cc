@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/statistics.h"
-#include "dist/dist.h"
 #include "graph/attributed_graph.h"
 #include "server/journal.h"
 #include "util/fault.h"
@@ -616,74 +615,6 @@ bool QuerySession::ExecuteSlice(ThreadPool* pool,
     return true;
   }
   return false;  // preempted by the slice policy: re-enqueue
-}
-
-bool QuerySession::DistEligible() const {
-  return spec_.budget.unlimited() && slices_ == 0 && sinks_ == nullptr &&
-         !has_checkpoint_ && jsonl_base_lines_ == 0;
-}
-
-bool QuerySession::ExecuteDistributed(const dist::DistOptions& dist_options,
-                                      dist::DistStats* stats) {
-  bool cancelled;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (state_ != QueryState::kQueued && state_ != QueryState::kRunning) {
-      return true;  // already terminal (cancelled while queued)
-    }
-    if (state_ == QueryState::kQueued) {
-      state_ = QueryState::kRunning;
-      queue_wait_ms_ = MsSince(submitted_, std::chrono::steady_clock::now());
-    }
-    cancelled = cancel_requested_;
-  }
-  if (cancelled) {
-    Terminalize(QueryState::kCancelled, Status());
-    return true;
-  }
-
-  Result<std::unique_ptr<RequestSinks>> created =
-      RequestSinks::Create(spec_, graph_.get());
-  if (!created.ok()) {
-    Terminalize(QueryState::kFailed, created.status());
-    return true;
-  }
-  sinks_ = std::move(created).value();
-
-  CancelToken job_token;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (cancel_requested_) {
-      cancelled = true;
-    } else {
-      live_token_ = &job_token;
-    }
-  }
-  if (cancelled) {
-    Terminalize(QueryState::kCancelled, Status());
-    return true;
-  }
-
-  Result<MiningRun> run =
-      dist::MineToSink(*graph_, spec_.options, sinks_->sink(), dist_options,
-                       null_model_.get(), stats, &job_token);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    live_token_ = nullptr;
-    cancelled = cancel_requested_;
-    ++slices_;
-  }
-
-  if (!run.ok()) {
-    const bool as_cancel =
-        cancelled || run.status().code() == StatusCode::kCancelled;
-    Terminalize(as_cancel ? QueryState::kCancelled : QueryState::kFailed,
-                as_cancel ? Status() : run.status());
-    return true;
-  }
-  cum_ = std::move(run).value();
-  Terminalize(cancelled ? QueryState::kCancelled : QueryState::kDone, Status());
-  return true;
 }
 
 QueryState QuerySession::Cancel() {

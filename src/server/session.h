@@ -57,11 +57,6 @@ class ParallelismBudget;
 class StateStore;
 class ThreadPool;
 
-namespace dist {
-struct DistOptions;
-struct DistStats;
-}  // namespace dist
-
 /// Session lifecycle. Terminal states: kDone, kCancelled, kFailed.
 enum class QueryState { kQueued, kRunning, kDone, kCancelled, kFailed };
 
@@ -181,21 +176,6 @@ class QuerySession {
   /// progress at any slice size.
   bool ExecuteSlice(ThreadPool* pool, ParallelismBudget* intra_budget,
                     EvalMemo* memo, const SlicePolicy& policy);
-
-  /// True when this session can run as one distributed job: an
-  /// unlimited budget (a distributed job has no mid-job cut), no
-  /// earlier segments, and no crash-recovered snapshot to respect.
-  /// Driver-only, like the execution-progress fields it reads.
-  bool DistEligible() const;
-
-  /// Runs the whole query as one fault-tolerant distributed job
-  /// (forked workers, leased batches — docs/DIST.md) instead of sliced
-  /// segments. Always terminal on return; Cancel() aborts the job at
-  /// the next coordinator step. Distributed queries bypass the shared
-  /// pool and the memo, and take no per-query durability snapshots (a
-  /// crash re-runs them whole). Requires Bind() and DistEligible().
-  bool ExecuteDistributed(const dist::DistOptions& dist_options,
-                          dist::DistStats* stats);
 
   /// Requests cancellation: a queued session becomes kCancelled
   /// immediately; a running one has its current slice's token latched

@@ -4,9 +4,9 @@
 // heartbeats, and corrupted results; the inline fallback that
 // guarantees termination when every worker is gone; typed lease
 // events; coordinator SIGKILL recovery from a StateStore journal; and
-// the query server's distributed routing. The seeded sweep honors
-// SCPM_FAULT_SEED so CI can shake different kill schedules. These
-// tests fork real processes and run under TSan in CI.
+// the frontier pool's class bookkeeping across lease remainders. The
+// seeded sweep honors SCPM_FAULT_SEED so CI can shake different kill
+// schedules. These tests fork real processes and run under TSan in CI.
 
 #include <signal.h>
 #include <sys/types.h>
@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,11 +30,11 @@
 #include "core/request.h"
 #include "core/scpm.h"
 #include "dist/dist.h"
+#include "dist/pool.h"
 #include "dist/protocol.h"
 #include "graph/attributed_graph.h"
+#include "server/journal.h"
 #include "server/json.h"
-#include "server/server.h"
-#include "server/session.h"
 #include "util/fault.h"
 #include "util/random.h"
 
@@ -153,41 +154,6 @@ TEST(DistIdentity, MatchesSingleProcessAcrossWorkerAndBatchShapes) {
         EXPECT_TRUE(stats.events.empty());
       }
     }
-  }
-}
-
-/// The per-lease checkpoint-format negotiation: a coordinator pinned to
-/// the v1 text encoding mines byte-identically to the binary default —
-/// the format changes the frames, never the work or the output.
-TEST(DistIdentity, TextCheckpointFormatMatchesBinary) {
-  Disarm();
-  const AttributedGraph graph = RandomAttributed(3);
-  const std::string dir = TempDir("ckptfmt");
-  const MiningRun base = Baseline(graph, dir + "/base.jsonl");
-  const std::vector<std::string> base_lines = SortedLines(dir + "/base.jsonl");
-  ASSERT_GT(base_lines.size(), 0u);
-
-  for (CheckpointFormat format :
-       {CheckpointFormat::kText, CheckpointFormat::kBinary}) {
-    const std::string out = dir + "/fmt" +
-                            std::to_string(static_cast<int>(format)) +
-                            ".jsonl";
-    MiningRequest request = JsonlRequest(out);
-    dist::DistOptions dopts;
-    dopts.workers = 2;
-    dopts.batch_entries = 3;
-    dopts.batch_evals = 2;  // many leases: lots of frames in each format
-    dopts.worker_wave = 2;
-    dopts.ckpt_format = format;
-    dist::DistStats stats;
-    Result<MiningResponse> response =
-        dist::Mine(graph, request, dopts, nullptr, &stats);
-    ASSERT_TRUE(response.ok()) << response.status();
-    EXPECT_TRUE(response->run.exhausted);
-    EXPECT_EQ(response->run.emitted, base.emitted);
-    ExpectCountersEq(response->run.counters, base.counters);
-    EXPECT_EQ(SortedLines(out), base_lines);
-    EXPECT_TRUE(stats.events.empty());
   }
 }
 
@@ -362,6 +328,50 @@ TEST(DistOptionsValidate, RejectsDegenerateKnobs) {
 
 /// A result payload written with the previous ScpmCounters field list
 /// (format version 1) must be rejected typed, never misread as counters.
+/// A lease's remainder repeats the classes of the batch it was cut
+/// from. While pool entries still reference such a class, the remainder
+/// must join it rather than add a second class with the same path: a
+/// batch carrying one path twice repeats its member attribute sets,
+/// which the engine cannot resume.
+TEST(DistPool, RemainderRejoinsItsLiveClass) {
+  EngineCheckpoint cut;
+  cut.num_vertices = 8;
+  cut.num_attributes = 4;
+  cut.num_edges = 6;
+  cut.valid = true;
+  EngineCheckpoint::PendingClass cls;
+  cls.path = {1};
+  for (AttributeId a : {1u, 2u, 3u}) {
+    EngineCheckpoint::Member m;
+    m.items = {0, a};
+    m.covered = {0, 1, 2};
+    cls.members.push_back(std::move(m));
+  }
+  cut.classes.push_back(cls);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    cut.expansions.push_back(EngineCheckpoint::PendingExpansion{0, s});
+  }
+
+  dist::FrontierPool pool;
+  pool.BindTo(cut);
+  pool.Ingest(cut);
+  const EngineCheckpoint leased = pool.MakeBatch(1);
+  ASSERT_EQ(leased.expansions.size(), 1u);
+
+  // The lease was cut before finishing its one entry.
+  EngineCheckpoint remainder = cut;
+  remainder.expansions = leased.expansions;
+  pool.Ingest(remainder);
+
+  const EngineCheckpoint next = pool.MakeBatch(8);
+  EXPECT_EQ(next.expansions.size(), 3u);
+  std::set<std::vector<std::uint32_t>> paths;
+  for (const EngineCheckpoint::PendingClass& pc : next.classes) {
+    EXPECT_TRUE(paths.insert(pc.path).second) << "path repeated in a batch";
+  }
+  EXPECT_EQ(next.classes.size(), 1u);
+}
+
 TEST(DistProtocol, ResultWithOldCounterLayoutIsRejectedTyped) {
   dist::ResultPayload result;
   result.counters.attribute_sets_evaluated = 7;
@@ -470,45 +480,54 @@ TEST(DistRecovery, ChangedOptionsRestartInsteadOfResuming) {
   ExpectCountersEq(second->run.counters, reference->run.counters);
 }
 
-TEST(DistServer, BudgetlessQueriesRouteDistributed) {
+/// A v1 text q1.ckpt (the retired whitespace-token encoding, written by
+/// hand) in the job's state dir is unreadable: the scan drops it and the
+/// job restarts fresh — no abort, no resume, byte-identical output.
+TEST(DistRecovery, V1TextSnapshotRestartsFresh) {
   Disarm();
-  auto graph =
-      std::make_shared<const AttributedGraph>(RandomAttributed(3));
-  const std::string dir = TempDir("server");
-  const MiningRun base = Baseline(*graph, dir + "/base.jsonl");
+  const AttributedGraph graph = RandomAttributed(3);
+  const std::string dir = TempDir("textv1");
+  const MiningRun base = Baseline(graph, dir + "/base.jsonl");
+  const std::string state = dir + "/state";
+  const std::string out = dir + "/dist.jsonl";
+  MiningRequest request = JsonlRequest(out);
+  const std::uint64_t fingerprint =
+      ScpmEngine::OptionsFingerprint(request.options, false);
+  {
+    Result<std::unique_ptr<StateStore>> store = StateStore::Open(state);
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_TRUE((*store)
+                    ->AppendServer(
+                        1, static_cast<std::uint64_t>(graph.NumVertices()),
+                        graph.graph().NumEdges(), graph.NumAttributes())
+                    .ok());
+    JsonValue admit = JsonValue::MakeObject();
+    admit.Set("fingerprint", JsonValue(std::to_string(fingerprint)));
+    admit.Set("sink", JsonValue("jsonl"));
+    admit.Set("out", JsonValue(out));
+    ASSERT_TRUE((*store)->AppendAdmit(1, 1, admit).ok());
+    std::ofstream ckpt(state + "/q1.ckpt");
+    ckpt << "scpm-query-meta 1 1 0 1\n"
+         << "scpm-checkpoint 1\n"
+         << "graph " << graph.NumVertices() << ' ' << graph.NumAttributes()
+         << ' ' << graph.graph().NumEdges() << "\noptions " << fingerprint
+         << "\nphase tree\ndone-roots 0\nroot-batches 0\nclasses 0\n"
+         << "expansions 0\nend\n";
+    std::ofstream partial(out);
+    partial << "{\"stale\":\"line\"}\n";
+  }
 
-  ServerOptions options;
-  options.threads = 2;
-  options.max_concurrent = 1;
-  options.dist_workers = 2;
-  ScpmServer server(graph, options);
-  server.Start();
-
-  QuerySpec spec;
-  static_cast<MiningRequest&>(spec) = JsonlRequest(dir + "/dist.jsonl");
-  Result<std::shared_ptr<QuerySession>> session = server.Submit(spec);
-  ASSERT_TRUE(session.ok()) << session.status();
-  (*session)->WaitTerminal();
-  EXPECT_EQ((*session)->state(), QueryState::kDone);
-  ExpectCountersEq((*session)->run().counters, base.counters);
-  EXPECT_EQ(SortedLines(dir + "/dist.jsonl"), SortedLines(dir + "/base.jsonl"));
-
-  // A budgeted query is NOT eligible: it runs sliced, and the dist
-  // query count stays put.
-  QuerySpec budgeted;
-  static_cast<MiningRequest&>(budgeted) = JsonlRequest(dir + "/sliced.jsonl");
-  budgeted.budget.max_evaluations = 3;
-  Result<std::shared_ptr<QuerySession>> sliced = server.Submit(budgeted);
-  ASSERT_TRUE(sliced.ok());
-  (*sliced)->WaitTerminal();
-  EXPECT_EQ((*sliced)->state(), QueryState::kDone);
-
-  const JsonValue stats = server.Stats();
-  const JsonValue* dist_stats = stats.Find("dist");
-  ASSERT_NE(dist_stats, nullptr);
-  EXPECT_EQ(dist_stats->NumberOr("queries", 0), 1.0);
-  EXPECT_GE(dist_stats->NumberOr("batches", 0), 1.0);
-  server.Shutdown();
+  dist::DistOptions dopts;
+  dopts.workers = 1;
+  dopts.state_dir = state;
+  dist::DistStats stats;
+  Result<MiningResponse> response =
+      dist::Mine(graph, request, dopts, nullptr, &stats);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_FALSE(stats.recovered);
+  EXPECT_TRUE(response->run.exhausted);
+  ExpectCountersEq(response->run.counters, base.counters);
+  EXPECT_EQ(SortedLines(out), SortedLines(dir + "/base.jsonl"));
 }
 
 TEST(DistFaultSweep, SeededKillSchedulesStayIdenticalAndTyped) {

@@ -497,6 +497,47 @@ TEST(CheckpointTest, ResumeRejectsMalformedCoveredSets) {
   EXPECT_FALSE(ScpmEngine(options).Resume(g, unsorted, &s2).ok());
 }
 
+/// A member attribute set repeated within one class or across classes
+/// is a typed kInvalidArgument at resume, never an abort: two classes
+/// sharing one covered-set cache slot would evict it under each other.
+TEST(CheckpointTest, ResumeRejectsDuplicateMemberAttributeSets) {
+  const AttributedGraph g = PaperExampleGraph();
+  ScpmOptions options = Table1Options();
+  ScpmEngine engine(options);
+  EngineBudget budget;
+  budget.max_evaluations = 2;
+  engine.set_budget(budget);
+  AccumulatingSink sink;
+  Result<MiningRun> run = engine.Run(g, &sink);
+  ASSERT_TRUE(run.ok());
+  ASSERT_FALSE(run->exhausted);
+  Result<EngineCheckpoint> cold =
+      EngineCheckpoint::Parse(run->checkpoint.Serialize());
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  ASSERT_FALSE(cold->classes.empty());
+  ASSERT_FALSE(cold->expansions.empty());
+
+  EngineCheckpoint across = *cold;
+  const EngineCheckpoint::PendingClass copy =
+      across.classes[across.expansions[0].class_index];
+  across.classes.push_back(copy);
+  across.expansions[0].class_index =
+      static_cast<std::uint32_t>(across.classes.size() - 1);
+
+  EngineCheckpoint within = *cold;
+  within.classes[0].members.push_back(within.classes[0].members[0]);
+
+  for (const EngineCheckpoint* bad : {&across, &within}) {
+    Result<EngineCheckpoint> parsed = EngineCheckpoint::Parse(bad->Serialize());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    AccumulatingSink s;
+    Result<MiningRun> resumed = ScpmEngine(options).Resume(g, *parsed, &s);
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << resumed.status();
+  }
+}
+
 TEST(CheckpointTest, ResumeRejectsWrongGraphOrOptions) {
   const AttributedGraph g = PaperExampleGraph();
   ScpmOptions options = Table1Options();

@@ -505,10 +505,11 @@ TEST(ServerRecovery, ResumesInterruptedJsonlByteIdentical) {
   EXPECT_EQ(session->run().emitted, expected.size());
 }
 
-/// Snapshots written in the v1 text format (an old server, or
-/// --ckpt-format text) recover under a default (binary-writing) server:
-/// the reader auto-detects per file, so mixed-format state dirs work.
-TEST(ServerRecovery, TextFormatSnapshotRecoversUnderBinaryDefault) {
+/// A v1 text q<id>.ckpt (the retired whitespace-token encoding, as an
+/// older server wrote it) is input recovery no longer reads: the scan
+/// warns "re-run from scratch", and the query re-runs whole to
+/// byte-identical output, overwriting the stale partial file.
+TEST(ServerRecovery, V1TextSnapshotWarnsAndRerunsFromScratch) {
   FaultInjector::Instance().Reset();
   const std::string dir = TempDir("textv1");
   auto graph = std::make_shared<const AttributedGraph>(
@@ -519,40 +520,38 @@ TEST(ServerRecovery, TextFormatSnapshotRecoversUnderBinaryDefault) {
   const std::string out = dir + "/out.jsonl";
   QuerySpec spec = JsonlSpec(out);
   {
-    MiningRequest partial = spec;
-    partial.budget.max_evaluations = 6;
-    Result<MiningResponse> cut = ExecuteRequest(*graph, partial);
-    ASSERT_TRUE(cut.ok());
-    ASSERT_FALSE(cut->run.exhausted);
     Result<std::unique_ptr<StateStore>> store =
         StateStore::Open(dir + "/state");
     ASSERT_TRUE(store.ok());
-    (*store)->set_checkpoint_format(CheckpointFormat::kText);
     ASSERT_TRUE((*store)
                     ->AppendServer(
                         1, static_cast<std::uint64_t>(graph->NumVertices()),
                         graph->graph().NumEdges(), graph->NumAttributes())
                     .ok());
     ASSERT_TRUE((*store)->AppendAdmit(1, 1, QuerySpecToJson(spec)).ok());
-    ASSERT_TRUE((*store)
-                    ->WriteCheckpoint(1, cut->run.checkpoint,
-                                      cut->run.emitted,
-                                      cut->run.patterns_emitted,
-                                      cut->jsonl_lines)
-                    .ok());
-    // Prove the file on disk really is the v1 text form.
-    std::ifstream ckpt(dir + "/state/q1.ckpt");
-    std::ostringstream buf;
-    buf << ckpt.rdbuf();
-    EXPECT_NE(buf.str().find("scpm-checkpoint"), std::string::npos);
-    EXPECT_EQ(buf.str().find("SCPB"), std::string::npos);
+    // Bound to this graph and these options, so only the encoding is
+    // wrong.
+    std::ofstream ckpt(dir + "/state/q1.ckpt");
+    ckpt << "scpm-query-meta 1 2 0 2\n"
+         << "scpm-checkpoint 1\n"
+         << "graph " << graph->NumVertices() << ' ' << graph->NumAttributes()
+         << ' ' << graph->graph().NumEdges() << "\n"
+         << "options " << ScpmEngine::OptionsFingerprint(spec.options, false)
+         << "\nphase tree\ndone-roots 0\nroot-batches 0\nclasses 0\n"
+         << "expansions 0\nend\n";
+    std::ofstream partial(out);
+    partial << expected[0] << "\n" << expected[1] << "\n";
   }
 
-  // Default options write binary, but the reader must not care.
   ScpmServer server(graph, DurableOptions(dir + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   EXPECT_EQ(server.recovered_queries(), 1u);
-  EXPECT_TRUE(server.recovery_warnings().empty())
+  ASSERT_EQ(server.recovery_warnings().size(), 1u);
+  EXPECT_NE(server.recovery_warnings()[0].find("re-run from scratch"),
+            std::string::npos)
+      << server.recovery_warnings()[0];
+  EXPECT_NE(server.recovery_warnings()[0].find("invalid-argument"),
+            std::string::npos)
       << server.recovery_warnings()[0];
   server.Start();
   std::shared_ptr<QuerySession> session = server.Find(1);

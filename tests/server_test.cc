@@ -2,12 +2,18 @@
 // ScpmMiner::Mine for thread counts {1, 2, 8} with the memo cold and
 // hot, deterministic admission-control rejection at the configured queue
 // depth, cancellation of queued and running queries, streaming sinks
-// through the server, the wire protocol via HandleRequest, and
-// memo-disabled operation. The concurrency tests run under TSan in CI.
+// through the server, the wire protocol via HandleRequest, the socket
+// front end's request-line cap, and memo-disabled operation. The
+// concurrency tests run under TSan in CI.
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -426,6 +432,92 @@ TEST(ServerTest, WireProtocolRoundTrip) {
   Result<JsonValue> late = JsonValue::Parse(server.HandleRequest(submit));
   ASSERT_TRUE(late.ok());
   EXPECT_FALSE(late->BoolOr("ok", true));
+}
+
+/// Connects to the server's socket, retrying while Serve() is still
+/// binding. Returns -1 if it never comes up.
+int ConnectWithRetry(const std::string& path) {
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      // A server that never answers fails the test instead of hanging it.
+      const timeval timeout{10, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
+/// Sends all of `data`, stopping quietly if the peer closes.
+void SendQuietly(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return;
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// Reads up to and excluding the first newline ("" on EOF before one).
+std::string ReadLine(int fd) {
+  std::string line;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1) {
+    if (c == '\n') return line;
+    line.push_back(c);
+  }
+  return "";
+}
+
+TEST(ServerTest, OverlongRequestLineIsRejectedTypedAndClosed) {
+  const AttributedGraph graph = RandomAttributed(42);
+  ServerOptions options;
+  options.threads = 2;
+  ScpmServer server(&graph, options);
+  server.Start();
+  const std::string path = "./server_test_cap_" + std::to_string(::getpid());
+  std::thread serve([&] { EXPECT_TRUE(server.Serve(path).ok()); });
+  struct StopOnExit {
+    ScpmServer* server;
+    std::thread* serve;
+    ~StopOnExit() {
+      server->Shutdown();
+      serve->join();
+    }
+  } stop_on_exit{&server, &serve};
+
+  // A client streaming past the cap with no newline gets one typed
+  // error, then the server closes the connection.
+  const int hog = ConnectWithRetry(path);
+  ASSERT_GE(hog, 0);
+  SendQuietly(hog, std::string(kMaxRequestLineBytes + 8192, 'x'));
+  Result<JsonValue> error = JsonValue::Parse(ReadLine(hog));
+  ASSERT_TRUE(error.ok());
+  EXPECT_FALSE(error->BoolOr("ok", true));
+  EXPECT_EQ(error->StringOr("code", ""), "invalid-argument");
+  EXPECT_EQ(ReadLine(hog), "");  // closed: nothing more arrives
+  ::close(hog);
+
+  // The server itself is unharmed: a fresh connection is served.
+  const int fresh = ConnectWithRetry(path);
+  ASSERT_GE(fresh, 0);
+  SendQuietly(fresh, "{\"op\":\"stats\"}\n");
+  Result<JsonValue> stats = JsonValue::Parse(ReadLine(fresh));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->BoolOr("ok", false));
+  SendQuietly(fresh, "{\"op\":\"shutdown\"}\n");
+  Result<JsonValue> stop = JsonValue::Parse(ReadLine(fresh));
+  ASSERT_TRUE(stop.ok());
+  EXPECT_TRUE(stop->BoolOr("ok", false));
+  ::close(fresh);
 }
 
 TEST(ServerTest, MemoDisabledStillMatchesDirectMine) {
