@@ -87,6 +87,8 @@ if(NOT code EQUAL 1 OR NOT err MATCHES "invalid-argument: not a binary")
   message(FATAL_ERROR "v1 text --resume: expected exit 1 with "
                       "invalid-argument, got ${code}:\n${err}")
 endif()
+# Reached only when the case passed; a failure keeps the directory.
+file(REMOVE_RECURSE ${v1_dir})
 
 if(DEFINED SERVE_CLI)
   expect_usage_error(${SERVE_CLI} "serve: no arguments")
@@ -102,22 +104,6 @@ if(DEFINED SERVE_CLI)
   expect_usage_error(${SERVE_CLI} "serve: uncreatable state dir" edges.txt
                      attrs.txt --socket /tmp/scpm-cli-test.sock
                      --state-dir /dev/null/state)
-endif()
-
-if(DEFINED DIST_CLI)
-  expect_usage_error(${DIST_CLI} "dist: no arguments")
-  expect_usage_error(${DIST_CLI} "dist: unknown flag" edges.txt attrs.txt
-                     --bogus 1)
-  expect_usage_error(${DIST_CLI} "dist: flag missing value" edges.txt
-                     attrs.txt --gamma)
-  expect_usage_error(${DIST_CLI} "dist: bad sink value" edges.txt attrs.txt
-                     --sink csv)
-  # Durability needs a truncatable output file: jsonl to a path only.
-  expect_usage_error(${DIST_CLI} "dist: state dir without jsonl out"
-                     edges.txt attrs.txt --state-dir /tmp/scpm-dist-state)
-  expect_usage_error(${DIST_CLI} "dist: degenerate batch" edges.txt
-                     attrs.txt --batch-evals 0)
-  expect_help(${DIST_CLI} "scpm_dist_cli")
 endif()
 
 message(STATUS "cli flag contract ok")

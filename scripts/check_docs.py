@@ -95,20 +95,16 @@ def main():
                         help="path to the scpm_cli binary")
     parser.add_argument("--serve-cli", required=True,
                         help="path to the scpm_serve_cli binary")
-    parser.add_argument("--dist-cli", required=True,
-                        help="path to the scpm_dist_cli binary")
     args = parser.parse_args()
 
     errors = []
     sections = doc_sections(os.path.join(args.repo, "docs", "CLI.md"))
-    for name in ("scpm_cli", "scpm_serve_cli", "scpm_dist_cli"):
+    for name in ("scpm_cli", "scpm_serve_cli"):
         if name not in sections:
             errors.append(f"docs/CLI.md: missing section '## `{name}`'")
     check_flags("scpm_cli", args.cli, sections.get("scpm_cli", set()), errors)
     check_flags("scpm_serve_cli", args.serve_cli,
                 sections.get("scpm_serve_cli", set()), errors)
-    check_flags("scpm_dist_cli", args.dist_cli,
-                sections.get("scpm_dist_cli", set()), errors)
     check_links(args.repo, errors)
 
     if errors:

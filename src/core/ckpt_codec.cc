@@ -12,9 +12,9 @@
 // covered sets, so structural sharing — not per-entry compression — is
 // where the bytes go.
 //
-// The length prefix lets embedders (the journal's q<id>.ckpt
-// meta+trailer layout, the dist batch/result frames) read a checkpoint
-// mid-stream and know exactly where it ends. Any other leading bytes —
+// The length prefix lets an embedder (the journal's q<id>.ckpt, a meta
+// header line followed by the checkpoint) read a checkpoint mid-stream
+// and know exactly where it ends. Any other leading bytes —
 // including the retired v1 text form ("scpm-checkpoint 1 ...") — are a
 // typed kInvalidArgument; there is no migration path.
 
@@ -456,8 +456,8 @@ Status EngineCheckpoint::Save(std::ostream& os) const {
 std::string EngineCheckpoint::Serialize() const { return EncodeBinary(*this); }
 
 Result<EngineCheckpoint> EngineCheckpoint::Load(std::istream& is) {
-  // Leading whitespace is tolerated: the journal and the dist frames
-  // terminate the preceding meta line with '\n'.
+  // Leading whitespace is tolerated: the journal terminates the
+  // preceding meta line with '\n'.
   is >> std::ws;
   char magic[4];
   if (!is.read(magic, 4) || std::memcmp(magic, kBinaryMagic, 4) != 0) {

@@ -12,6 +12,7 @@
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -206,8 +207,7 @@ class EngineRunner {
       const std::function<void(const EngineCheckpoint&, const EngineProgress&)>&
           checkpoint_observer,
       ThreadPool* shared_pool, ParallelismBudget* shared_intra_budget,
-      EvalMemo* memo, CancelToken* cancel, bool hot_checkpoints,
-      bool uncounted_seeding)
+      EvalMemo* memo, CancelToken* cancel, bool hot_checkpoints)
       : graph_(graph),
         options_(options),
         budget_(budget),
@@ -219,7 +219,6 @@ class EngineRunner {
         checkpoint_observer_(checkpoint_observer),
         memo_(memo),
         hot_checkpoints_(hot_checkpoints),
-        uncounted_seeding_(uncounted_seeding),
         // Slot count caps the intra-search branch tasks outstanding at
         // once across ALL evaluations: a huge-G(S) evaluation that grabs
         // slots is borrowing parallelism its sibling evaluations would
@@ -280,6 +279,37 @@ class EngineRunner {
     if (begin < singles_.size()) PushRootEntry(begin, singles_.size());
   }
 
+  /// A roots-phase checkpoint lists each frequent singleton at most once
+  /// (done or pending), with emission indices in attribute order, as
+  /// SeedFresh() numbered them. A repeated attribute would enter the root
+  /// class twice and have its expansions create the same sets twice.
+  Status ValidateRoots(const EngineCheckpoint& cp) const {
+    std::vector<std::pair<std::uint32_t, AttributeId>> roots;
+    for (const EngineCheckpoint::DoneRoot& dr : cp.done_roots) {
+      roots.emplace_back(dr.index, dr.attr);
+    }
+    for (const EngineCheckpoint::PendingRootBatch& batch : cp.root_batches) {
+      if (batch.indices.size() != batch.attrs.size()) {
+        return Status::InvalidArgument("checkpoint root batch malformed");
+      }
+      for (std::size_t k = 0; k < batch.attrs.size(); ++k) {
+        roots.emplace_back(batch.indices[k], batch.attrs[k]);
+      }
+    }
+    std::sort(roots.begin(), roots.end());
+    for (std::size_t k = 0; k < roots.size(); ++k) {
+      if (roots[k].second >= graph_.NumAttributes()) {
+        return Status::InvalidArgument("checkpoint root attr out of range");
+      }
+      if (k > 0 && (roots[k - 1].first == roots[k].first ||
+                    roots[k - 1].second >= roots[k].second)) {
+        return Status::InvalidArgument(
+            "checkpoint roots repeat or leave attribute order");
+      }
+    }
+    return Status::OK();
+  }
+
   Status SeedFromCheckpoint(const EngineCheckpoint& cp) {
     if (!cp.valid) {
       return Status::InvalidArgument("checkpoint is empty or unparsed");
@@ -304,11 +334,9 @@ class EngineRunner {
     };
     SetOpStats* stats = SeedSetStats();
     if (cp.in_roots_phase) {
+      SCPM_RETURN_IF_ERROR(ValidateRoots(cp));
       phase_roots_ = true;
       for (const EngineCheckpoint::DoneRoot& dr : cp.done_roots) {
-        if (dr.attr >= graph_.NumAttributes()) {
-          return Status::InvalidArgument("checkpoint root attr out of range");
-        }
         RootSlot rs;
         rs.index = dr.index;
         rs.attr = dr.attr;
@@ -336,15 +364,8 @@ class EngineRunner {
         singles_.push_back(std::move(rs));
       }
       for (const EngineCheckpoint::PendingRootBatch& batch : cp.root_batches) {
-        if (batch.indices.size() != batch.attrs.size()) {
-          return Status::InvalidArgument("checkpoint root batch malformed");
-        }
         const std::size_t begin = singles_.size();
         for (std::size_t k = 0; k < batch.attrs.size(); ++k) {
-          if (batch.attrs[k] >= graph_.NumAttributes()) {
-            return Status::InvalidArgument(
-                "checkpoint root attr out of range");
-          }
           RootSlot rs;
           rs.index = batch.indices[k];
           rs.attr = batch.attrs[k];
@@ -365,10 +386,20 @@ class EngineRunner {
         if (m.items.empty()) {
           return Status::InvalidArgument("checkpoint class member is empty");
         }
-        for (AttributeId a : m.items) {
-          if (a >= graph_.NumAttributes()) {
+        if (!IsStrictlySorted(m.items) ||
+            m.items.back() >= graph_.NumAttributes()) {
+          return Status::InvalidArgument(
+              "checkpoint member attribute set unsorted or out of range");
+        }
+        // Every class an expansion creates is {P + l} for one sorted
+        // prefix P and strictly increasing last items l.
+        if (!cls->siblings.empty()) {
+          const AttributeSet& prev = cls->siblings.back().items;
+          if (prev.size() != m.items.size() ||
+              !std::equal(prev.begin(), prev.end() - 1, m.items.begin()) ||
+              prev.back() >= m.items.back()) {
             return Status::InvalidArgument(
-                "checkpoint member attr out of range");
+                "checkpoint class members do not extend one prefix");
           }
         }
         // Every attribute set belongs to exactly one class. A repeat
@@ -400,16 +431,38 @@ class EngineRunner {
       classes.push_back(std::move(cls));
       paths.push_back(&pc.path);
     }
+    // Expanding member S creates exactly the sets that extend S as a
+    // sorted prefix. A checkpoint that expands S twice, or already holds
+    // such an extension, would have this run create one attribute set
+    // twice, and the class finishing first would evict the covered set
+    // the other still reads. The covered-set lookups in EvaluateNode and
+    // BuildCheckpoint rely on this check.
+    std::unordered_set<AttributeSet, AttributeSetHash> expanding;
     for (const EngineCheckpoint::PendingExpansion& e : cp.expansions) {
       if (e.class_index >= classes.size() ||
           e.sibling >= classes[e.class_index]->siblings.size()) {
         return Status::InvalidArgument("checkpoint expansion out of range");
+      }
+      if (!expanding.insert(classes[e.class_index]->siblings[e.sibling].items)
+               .second) {
+        return Status::InvalidArgument("checkpoint expansion appears twice");
       }
       FrontierEntry entry;
       entry.cls = classes[e.class_index];
       entry.sibling = e.sibling;
       entry.path = *paths[e.class_index];
       frontier_.push_back(std::move(entry));
+    }
+    for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
+      for (const EngineCheckpoint::Member& m : pc.members) {
+        for (std::size_t len = 1; len < m.items.size(); ++len) {
+          if (expanding.count(AttributeSet(m.items.begin(),
+                                           m.items.begin() + len)) != 0) {
+            return Status::InvalidArgument(
+                "checkpoint member extends a pending expansion");
+          }
+        }
+      }
     }
     return Status::OK();
   }
@@ -534,13 +587,7 @@ class EngineRunner {
 
   /// Kernel-counter sink for driver-side seeding work (resume tidset
   /// recomputation); folds into the engine totals like everything else.
-  SetOpStats* SeedSetStats() {
-    // Distributed workers resume from cold batch checkpoints whose set
-    // representations a single-process run would never rebuild; leaving
-    // that reconstruction uncounted keeps summed worker counters
-    // byte-identical to one process mining the same lattice.
-    return uncounted_seeding_ ? nullptr : BundleSetStats(&total_);
-  }
+  SetOpStats* SeedSetStats() { return BundleSetStats(&total_); }
 
   void RecordError(Status status) {
     {
@@ -836,6 +883,8 @@ class EngineRunner {
       HybridVertexSet tmp;
       for (const AttributeSet* parent : {parent_a, parent_b}) {
         if (parent == nullptr) continue;
+        // Never null, resumed runs included: SeedFromCheckpoint rejects
+        // a checkpoint that would create one attribute set twice.
         CoveredSetCache::Entry covered = cache_.Lookup(*parent);
         SCPM_CHECK(covered != nullptr)
             << "parent covered set evicted before its children finished";
@@ -1079,6 +1128,7 @@ class EngineRunner {
         for (const Node& node : entry.cls->siblings) {
           EngineCheckpoint::Member member;
           member.items = node.items;
+          // Never null; see the covered-set lookup in EvaluateNode.
           CoveredSetCache::Entry covered = cache_.Lookup(node.items);
           SCPM_CHECK(covered != nullptr)
               << "class member covered set missing at checkpoint";
@@ -1112,7 +1162,6 @@ class EngineRunner {
       checkpoint_observer_;
   EvalMemo* memo_;
   const bool hot_checkpoints_;
-  const bool uncounted_seeding_;
 
   // Shared by every worker's miner; must outlive owned_pool_ (declared
   // later, destroyed first) because draining tasks may still release
@@ -1194,7 +1243,7 @@ Result<MiningRun> ScpmEngine::Run(const AttributedGraph& graph,
   EngineRunner runner(graph, options_, budget_, frontier_wave_, null_model_,
                       sink, progress_, checkpoint_interval_ms_,
                       checkpoint_observer_, shared_pool_, shared_intra_budget_,
-                      memo_, cancel_, hot_checkpoints_, uncounted_seeding_);
+                      memo_, cancel_, hot_checkpoints_);
   runner.SeedFresh();
   SCPM_RETURN_IF_ERROR(runner.Drive());
   return runner.TakeRun();
@@ -1210,7 +1259,7 @@ Result<MiningRun> ScpmEngine::Resume(const AttributedGraph& graph,
   EngineRunner runner(graph, options_, budget_, frontier_wave_, null_model_,
                       sink, progress_, checkpoint_interval_ms_,
                       checkpoint_observer_, shared_pool_, shared_intra_budget_,
-                      memo_, cancel_, hot_checkpoints_, uncounted_seeding_);
+                      memo_, cancel_, hot_checkpoints_);
   SCPM_RETURN_IF_ERROR(runner.SeedFromCheckpoint(checkpoint));
   SCPM_RETURN_IF_ERROR(runner.Drive());
   return runner.TakeRun();

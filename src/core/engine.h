@@ -312,15 +312,6 @@ class ScpmEngine {
   /// (Save() materializes the cold form for anything else).
   void set_hot_checkpoints(bool on) { hot_checkpoints_ = on; }
 
-  /// Uncounted seeding: Resume() rebuilds covered sets and tidsets from
-  /// a cold checkpoint without charging those set operations to the
-  /// run's work counters. Distributed workers switch this on — each
-  /// batch checkpoint is a cold serialization that a single-process run
-  /// never pays for, so leaving the reconstruction uncounted is what
-  /// makes summed worker counters byte-identical to one process mining
-  /// the same lattice. Never changes what is mined.
-  void set_uncounted_seeding(bool on) { uncounted_seeding_ = on; }
-
   /// Walks the whole lattice (or up to the budget), emitting every
   /// reported attribute set into `sink`.
   Result<MiningRun> Run(const AttributedGraph& graph, PatternSink* sink);
@@ -353,7 +344,6 @@ class ScpmEngine {
   EvalMemo* memo_ = nullptr;
   CancelToken* cancel_ = nullptr;
   bool hot_checkpoints_ = false;
-  bool uncounted_seeding_ = false;
 };
 
 }  // namespace scpm

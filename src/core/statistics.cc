@@ -71,31 +71,4 @@ std::string ScpmCountersJson(const ScpmCounters& counters) {
   return os.str();
 }
 
-// Both stream codecs below walk the counters in declaration order; if
-// this assert fires, a field was added or removed — update the two
-// functions together and bump the versions of the formats that embed
-// them (dist-result and scpm-dist-trailer).
-static_assert(sizeof(ScpmCounters) == 10 * sizeof(std::uint64_t),
-              "ScpmCounters field list changed: update "
-              "Write/ReadScpmCountersFields and the embedding formats");
-
-std::ostream& WriteScpmCountersFields(std::ostream& os,
-                                      const ScpmCounters& c) {
-  return os << ' ' << c.attribute_sets_evaluated << ' '
-            << c.attribute_sets_reported << ' ' << c.attribute_sets_extended
-            << ' ' << c.coverage_candidates << ' ' << c.evaluation_batches
-            << ' ' << c.intra_search_evaluations << ' '
-            << c.intra_branch_tasks << ' ' << c.bitmap_intersections << ' '
-            << c.galloping_intersections << ' ' << c.dense_conversions;
-}
-
-bool ReadScpmCountersFields(std::istream& is, ScpmCounters* c) {
-  return static_cast<bool>(
-      is >> c->attribute_sets_evaluated >> c->attribute_sets_reported >>
-      c->attribute_sets_extended >> c->coverage_candidates >>
-      c->evaluation_batches >> c->intra_search_evaluations >>
-      c->intra_branch_tasks >> c->bitmap_intersections >>
-      c->galloping_intersections >> c->dense_conversions);
-}
-
 }  // namespace scpm

@@ -5,7 +5,6 @@
 #define SCPM_CORE_STATISTICS_H_
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,18 +36,6 @@ std::string FormatScpmCounters(const ScpmCounters& counters);
 /// the bench smoke jobs embed this in their BENCH_*.json artifacts so the
 /// effort trajectory is tracked alongside the timings.
 std::string ScpmCountersJson(const ScpmCounters& counters);
-
-/// Appends every ScpmCounters field to `os` as " <value>" in declaration
-/// order — the one stream encoding shared by the dist result payload and
-/// the coordinator's durable counter trailer (the caller writes its own
-/// leading token/version). The field count is pinned by a static_assert
-/// in statistics.cc so adding a counter cannot silently desync the two.
-std::ostream& WriteScpmCountersFields(std::ostream& os,
-                                      const ScpmCounters& counters);
-
-/// Inverse of WriteScpmCountersFields; returns false when any field
-/// fails to parse (the stream is left failed).
-bool ReadScpmCountersFields(std::istream& is, ScpmCounters* counters);
 
 }  // namespace scpm
 

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "util/fault.h"
@@ -130,8 +129,7 @@ Status StateStore::AppendTerminal(std::uint64_t id, const char* state) {
 Status StateStore::WriteCheckpoint(std::uint64_t id, const EngineCheckpoint& cp,
                                    std::uint64_t emitted,
                                    std::uint64_t patterns_emitted,
-                                   std::uint64_t jsonl_lines,
-                                   const std::string& trailer) {
+                                   std::uint64_t jsonl_lines) {
   const std::string path = CheckpointPath(id);
   const std::string tmp = path + ".tmp";
   {
@@ -155,7 +153,7 @@ Status StateStore::WriteCheckpoint(std::uint64_t id, const EngineCheckpoint& cp,
   const std::string text = "scpm-query-meta 1 " + std::to_string(emitted) +
                            ' ' + std::to_string(patterns_emitted) + ' ' +
                            std::to_string(jsonl_lines) + '\n' +
-                           cp.Serialize() + trailer;
+                           cp.Serialize();
   if (!WriteFully(fd, text)) {
     const std::string err = std::strerror(errno);
     ::close(fd);
@@ -302,11 +300,6 @@ RecoveryScan StateStore::Scan() const {
       if (loaded.ok()) {
         entry.query.checkpoint = std::move(loaded).value();
         entry.query.has_checkpoint = true;
-        // Everything past the snapshot's length-prefixed payload is the
-        // writer's trailer; hand it back byte-for-byte.
-        std::ostringstream rest;
-        rest << ckpt.rdbuf();
-        entry.query.trailer = rest.str();
       } else {
         scan.warnings.push_back("query " + std::to_string(id) +
                                 " checkpoint unreadable (" +

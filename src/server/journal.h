@@ -71,11 +71,6 @@ struct RecoveredQuery {
   /// never written) means "re-run from scratch".
   EngineCheckpoint checkpoint;
   bool has_checkpoint = false;
-  /// Raw bytes following the snapshot's "end" token, exactly as given
-  /// to WriteCheckpoint's `trailer` — extension state riding the same
-  /// atomic rename (the distributed coordinator stores its summed
-  /// counters here). Empty when no trailer was written.
-  std::string trailer;
 };
 
 /// Everything a restarting server learns from the state directory.
@@ -128,14 +123,10 @@ class StateStore {
   /// counters at the snapshot (the pair must be atomic: a journal line
   /// cannot be transactional with a separate file, a header in the
   /// renamed file is). On any failure the previous checkpoint file (if
-  /// one exists) is untouched. `trailer` bytes, if any, are appended
-  /// verbatim after the snapshot (EngineCheckpoint::Load stops at the
-  /// codec's length prefix, so Scan() hands them back untouched in
-  /// RecoveredQuery::trailer).
+  /// one exists) is untouched.
   Status WriteCheckpoint(std::uint64_t id, const EngineCheckpoint& cp,
                          std::uint64_t emitted, std::uint64_t patterns_emitted,
-                         std::uint64_t jsonl_lines,
-                         const std::string& trailer = std::string());
+                         std::uint64_t jsonl_lines);
 
   /// Best-effort cleanup once a query is terminal.
   void RemoveCheckpoint(std::uint64_t id);

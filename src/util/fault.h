@@ -42,13 +42,6 @@ inline constexpr const char* kJournalWrite = "journal-write";
 inline constexpr const char* kCheckpointWrite = "checkpoint-write";
 inline constexpr const char* kSocketSend = "socket-send";
 inline constexpr const char* kSliceCancel = "slice-cancel";
-// Distributed-mining points. The coordinator forks one process per
-// worker, so each worker has its own injector (and hit counters): a
-// bare base name fires in *every* worker. To aim at one worker, dist
-// code consults "<base>:<worker-index>" alongside the base name.
-inline constexpr const char* kWorkerKill = "worker-kill";
-inline constexpr const char* kHeartbeatDrop = "heartbeat-drop";
-inline constexpr const char* kResultCorrupt = "result-corrupt";
 }  // namespace fault
 
 class FaultInjector {

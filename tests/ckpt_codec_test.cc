@@ -284,8 +284,8 @@ TEST(CkptCodecTest, V1TextIsRejectedWithTypedError) {
 }
 
 /// Stream reads stop exactly at the length prefix's boundary, leaving
-/// any trailer for the caller — the journal and the dist result payload
-/// both append tokens after an embedded checkpoint and depend on this.
+/// any following bytes for the caller, so a checkpoint can be embedded
+/// mid-stream without the reader overrunning it.
 TEST(CkptCodecTest, LoadLeavesTrailerUnread) {
   const EngineCheckpoint cp = RandomCheckpoint(9, 32, 0.3);
   std::istringstream in(cp.Serialize() + "trailer 7\n");

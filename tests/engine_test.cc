@@ -538,6 +538,142 @@ TEST(CheckpointTest, ResumeRejectsDuplicateMemberAttributeSets) {
   }
 }
 
+/// Six-vertex clique whose vertices all carry attributes 0, 1 and 2, with
+/// thresholds under which every attribute set is extendable.
+AttributedGraph TripleClique() {
+  AttributedGraphBuilder builder(6);
+  for (VertexId u = 0; u < 6; ++u) {
+    for (VertexId v = u + 1; v < 6; ++v) builder.AddEdge(u, v);
+  }
+  for (const char* name : {"a", "b", "c"}) {
+    const AttributeId id = builder.InternAttribute(name);
+    for (VertexId v = 0; v < 6; ++v) {
+      EXPECT_TRUE(builder.AddVertexAttribute(v, id).ok());
+    }
+  }
+  Result<AttributedGraph> g = builder.Build();
+  EXPECT_TRUE(g.ok());
+  return std::move(g).value();
+}
+
+ScpmOptions TripleCliqueOptions() {
+  ScpmOptions o;
+  o.quasi_clique.gamma = 0.5;
+  o.quasi_clique.min_size = 3;
+  o.min_support = 1;
+  o.min_epsilon = 0.0;
+  return o;
+}
+
+/// A tree-phase checkpoint of TripleClique() cut right after the roots
+/// phase: one class {0},{1},{2} with an expansion per member.
+EngineCheckpoint TripleCliqueTreeCheckpoint() {
+  ScpmEngine engine(TripleCliqueOptions());
+  EngineBudget budget;
+  budget.max_evaluations = 3;
+  engine.set_budget(budget);
+  AccumulatingSink sink;
+  Result<MiningRun> run = engine.Run(TripleClique(), &sink);
+  EXPECT_TRUE(run.ok());
+  EXPECT_FALSE(run->exhausted);
+  EXPECT_FALSE(run->checkpoint.in_roots_phase);
+  EXPECT_EQ(run->checkpoint.classes.size(), 1u);
+  return run->checkpoint;
+}
+
+/// Serializes `cp`, parses it back, and resumes it on TripleClique().
+Result<MiningRun> ResumeTripleClique(const EngineCheckpoint& cp,
+                                     const EngineBudget& budget) {
+  Result<EngineCheckpoint> parsed = EngineCheckpoint::Parse(cp.Serialize());
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (!parsed.ok()) return parsed.status();
+  ScpmEngine engine(TripleCliqueOptions());
+  engine.set_budget(budget);
+  AccumulatingSink sink;
+  return engine.Resume(TripleClique(), *parsed, &sink);
+}
+
+/// A checkpoint holding both a pending expansion of {0} and a class of
+/// {0}'s children ({0,1},{0,2}): the resumed run would create those
+/// children a second time, and the class that finishes first would
+/// evict the covered sets the other still reads.
+EngineCheckpoint ChildClassBesideItsPendingParent() {
+  EngineCheckpoint cp = TripleCliqueTreeCheckpoint();
+  cp.expansions = {{0, 0}};
+  EngineCheckpoint::PendingClass children;
+  children.path = {1, 0, 1};
+  for (const AttributeSet& items : {AttributeSet{0, 1}, AttributeSet{0, 2}}) {
+    EngineCheckpoint::Member m;
+    m.items = items;
+    m.covered = {0, 1, 2, 3, 4, 5};
+    children.members.push_back(std::move(m));
+  }
+  cp.classes.push_back(std::move(children));
+  cp.expansions.push_back({1, 0});
+  return cp;
+}
+
+/// Resumed to exhaustion, this checkpoint would have EvaluateNode look
+/// up a parent covered set the other class already evicted ("parent
+/// covered set evicted before its children finished").
+TEST(CheckpointTest, ResumeRejectsClassThatPendingExpansionRecreates) {
+  Result<MiningRun> resumed =
+      ResumeTripleClique(ChildClassBesideItsPendingParent(), EngineBudget());
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+      << resumed.status();
+}
+
+/// Cut after one wave, the same checkpoint would have BuildCheckpoint
+/// look up an evicted member covered set instead ("class member covered
+/// set missing at checkpoint").
+TEST(CheckpointTest, ResumeRejectsOverlapBeforeCheckpointingIt) {
+  EngineBudget budget;
+  budget.max_evaluations = 1;
+  Result<MiningRun> resumed =
+      ResumeTripleClique(ChildClassBesideItsPendingParent(), budget);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+      << resumed.status();
+}
+
+/// The other shapes a valid run never writes, each a typed error.
+TEST(CheckpointTest, ResumeRejectsMalformedLatticeShape) {
+  const EngineCheckpoint base = TripleCliqueTreeCheckpoint();
+  std::vector<EngineCheckpoint> bad;
+  // The same expansion twice would create its children twice.
+  bad.push_back(base);
+  bad.back().expansions = {{0, 0}, {0, 0}};
+  // Class members must be sorted sets with one shared prefix and
+  // increasing last items.
+  bad.push_back(base);
+  bad.back().classes[0].members[0].items = {2, 0};
+  bad.push_back(base);
+  std::swap(bad.back().classes[0].members[0], bad.back().classes[0].members[1]);
+  bad.push_back(base);
+  bad.back().classes[0].members[2].items = {1, 2};
+  // A roots-phase checkpoint must list each singleton once, indexed in
+  // attribute order; attribute 0 twice puts it in the root class twice.
+  bad.push_back(base);
+  bad.back().in_roots_phase = true;
+  bad.back().classes.clear();
+  bad.back().expansions.clear();
+  for (const AttributeId attr : {0u, 0u, 1u}) {
+    EngineCheckpoint::DoneRoot dr;
+    dr.index = static_cast<std::uint32_t>(bad.back().done_roots.size());
+    dr.attr = attr;
+    dr.covered = {0, 1, 2, 3, 4, 5};
+    bad.back().done_roots.push_back(std::move(dr));
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    Result<MiningRun> resumed = ResumeTripleClique(bad[i], EngineBudget());
+    EXPECT_FALSE(resumed.ok()) << "case " << i;
+    if (resumed.ok()) continue;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << "case " << i << ": " << resumed.status();
+  }
+}
+
 TEST(CheckpointTest, ResumeRejectsWrongGraphOrOptions) {
   const AttributedGraph g = PaperExampleGraph();
   ScpmOptions options = Table1Options();

@@ -521,7 +521,7 @@ TEST(PreemptTest, WireProtocolVersionGate) {
   EXPECT_TRUE(v1->BoolOr("ok", false));
 
   // Any other version is a typed kInvalidArgument before op dispatch.
-  for (const std::string req :
+  for (const std::string& req :
        {std::string("{\"op\":\"stats\",\"v\":2}"),
         std::string("{\"op\":\"shutdown\",\"v\":0}"),
         std::string("{\"op\":\"stats\",\"v\":\"1\"}")}) {

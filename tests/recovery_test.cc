@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -41,15 +42,32 @@
 namespace scpm {
 namespace {
 
-/// Fresh scratch directory under the test's working directory.
-std::string TempDir(const std::string& tag) {
-  std::string templ = "./recovery_" + tag + "_XXXXXX";
-  std::vector<char> buf(templ.begin(), templ.end());
-  buf.push_back('\0');
-  const char* made = ::mkdtemp(buf.data());
-  EXPECT_NE(made, nullptr);
-  return made != nullptr ? made : templ;
-}
+/// Fresh scratch directory under the test's working directory. The
+/// owner removes it on scope exit unless the test has already failed,
+/// so a failing case leaves its state behind for inspection.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag) {
+    std::string templ = "./recovery_" + tag + "_XXXXXX";
+    std::vector<char> buf(templ.begin(), templ.end());
+    buf.push_back('\0');
+    const char* made = ::mkdtemp(buf.data());
+    EXPECT_NE(made, nullptr);
+    path_ = made != nullptr ? made : templ;
+  }
+  ~TempDir() {
+    if (::testing::Test::HasFailure()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Random attributed graph (same construction as engine_test.cc).
 AttributedGraph RandomAttributed(int seed, VertexId n = 24, int num_attrs = 5,
@@ -165,8 +183,9 @@ TEST(FaultInjector, SeededModeIsDeterministic) {
 
 TEST(StateStore, JournalRoundTripAndTerminalFiltering) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("journal");
-  Result<std::unique_ptr<StateStore>> store = StateStore::Open(dir + "/state");
+  const TempDir dir("journal");
+  Result<std::unique_ptr<StateStore>> store =
+      StateStore::Open(dir.path() + "/state");
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->AppendServer(1, 24, 80, 5).ok());
   JsonValue q1 = QuerySpecToJson(JsonlSpec("/tmp/out1.jsonl"));
@@ -200,13 +219,14 @@ TEST(StateStore, JournalRoundTripAndTerminalFiltering) {
 
 TEST(StateStore, CheckpointMetaRidesAtomicallyWithSnapshot) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("ckptmeta");
-  Result<std::unique_ptr<StateStore>> store = StateStore::Open(dir + "/state");
+  const TempDir dir("ckptmeta");
+  Result<std::unique_ptr<StateStore>> store =
+      StateStore::Open(dir.path() + "/state");
   ASSERT_TRUE(store.ok());
 
   // A real checkpoint from a budget-cut run.
   AttributedGraph graph = RandomAttributed(3);
-  MiningRequest request = JsonlSpec(dir + "/out.jsonl");
+  MiningRequest request = JsonlSpec(dir.path() + "/out.jsonl");
   request.budget.max_evaluations = 4;
   Result<MiningResponse> cut = ExecuteRequest(graph, request);
   ASSERT_TRUE(cut.ok());
@@ -214,7 +234,9 @@ TEST(StateStore, CheckpointMetaRidesAtomicallyWithSnapshot) {
 
   EXPECT_TRUE((*store)->AppendServer(1, 24, 80, 5).ok());
   EXPECT_TRUE(
-      (*store)->AppendAdmit(1, 1, QuerySpecToJson(JsonlSpec(dir + "/o"))).ok());
+      (*store)
+          ->AppendAdmit(1, 1, QuerySpecToJson(JsonlSpec(dir.path() + "/o")))
+          .ok());
   ASSERT_TRUE(
       (*store)->WriteCheckpoint(1, cut->run.checkpoint, 7, 21, 7).ok());
 
@@ -241,7 +263,7 @@ TEST(StateStore, CheckpointMetaRidesAtomicallyWithSnapshot) {
   // A torn checkpoint file (truncated mid-snapshot at the final path,
   // as if the filesystem lost the rename's durability) degrades to
   // "re-run from scratch" with a warning, never an error.
-  std::ofstream torn(dir + "/state/q1.ckpt", std::ios::trunc);
+  std::ofstream torn(dir.path() + "/state/q1.ckpt", std::ios::trunc);
   torn << "scpm-query-meta 1 7 21 7\nscpm-checkpoint";  // cut mid-header
   torn.close();
   scan = (*store)->Scan();
@@ -255,12 +277,13 @@ TEST(StateStore, CheckpointMetaRidesAtomicallyWithSnapshot) {
 
 TEST(StateStore, BitFlippedBinarySnapshotWarnsAndRerunsFromScratch) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("bitflip");
-  Result<std::unique_ptr<StateStore>> store = StateStore::Open(dir + "/state");
+  const TempDir dir("bitflip");
+  Result<std::unique_ptr<StateStore>> store =
+      StateStore::Open(dir.path() + "/state");
   ASSERT_TRUE(store.ok());
 
   AttributedGraph graph = RandomAttributed(3);
-  MiningRequest request = JsonlSpec(dir + "/out.jsonl");
+  MiningRequest request = JsonlSpec(dir.path() + "/out.jsonl");
   request.budget.max_evaluations = 4;
   Result<MiningResponse> cut = ExecuteRequest(graph, request);
   ASSERT_TRUE(cut.ok());
@@ -268,12 +291,14 @@ TEST(StateStore, BitFlippedBinarySnapshotWarnsAndRerunsFromScratch) {
 
   EXPECT_TRUE((*store)->AppendServer(1, 24, 80, 5).ok());
   EXPECT_TRUE(
-      (*store)->AppendAdmit(1, 1, QuerySpecToJson(JsonlSpec(dir + "/o"))).ok());
+      (*store)
+          ->AppendAdmit(1, 1, QuerySpecToJson(JsonlSpec(dir.path() + "/o")))
+          .ok());
   ASSERT_TRUE(
       (*store)->WriteCheckpoint(1, cut->run.checkpoint, 7, 21, 7).ok());
 
   // The snapshot after the meta line is the binary v2 form.
-  const std::string path = dir + "/state/q1.ckpt";
+  const std::string path = dir.path() + "/state/q1.ckpt";
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -321,8 +346,9 @@ TEST(StateStore, BitFlippedBinarySnapshotWarnsAndRerunsFromScratch) {
 TEST(StateStore, InjectedJournalFailureIsTypedAndCounted) {
   FaultInjector& fi = FaultInjector::Instance();
   fi.Reset();
-  const std::string dir = TempDir("jfail");
-  Result<std::unique_ptr<StateStore>> store = StateStore::Open(dir + "/state");
+  const TempDir dir("jfail");
+  Result<std::unique_ptr<StateStore>> store =
+      StateStore::Open(dir.path() + "/state");
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(fi.Configure("journal-write=1").ok());
   EXPECT_TRUE((*store)->AppendServer(1, 1, 1, 1).ok());
@@ -335,26 +361,27 @@ TEST(StateStore, InjectedJournalFailureIsTypedAndCounted) {
 
 TEST(StateStore, TornTailAndMidFileGarbageTolerated) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("torn");
+  const TempDir dir("torn");
   {
     Result<std::unique_ptr<StateStore>> store =
-        StateStore::Open(dir + "/state");
+        StateStore::Open(dir.path() + "/state");
     ASSERT_TRUE(store.ok());
     EXPECT_TRUE((*store)->AppendServer(1, 24, 80, 5).ok());
     EXPECT_TRUE(
         (*store)
-            ->AppendAdmit(1, 1, QuerySpecToJson(JsonlSpec(dir + "/o")))
+            ->AppendAdmit(1, 1, QuerySpecToJson(JsonlSpec(dir.path() + "/o")))
             .ok());
   }
   // Mid-file garbage (a corrupted but complete line) and a torn tail (a
   // crash mid-append): both are warnings, neither loses the admit.
   {
-    std::ofstream out(dir + "/state/journal.jsonl", std::ios::app);
+    std::ofstream out(dir.path() + "/state/journal.jsonl", std::ios::app);
     out << "%% corrupted line %%\n";
     out << "{\"t\":\"admit\",\"id\":2,\"epoch\":1,\"query\":{}}\n";
     out << "{\"t\":\"terminal\",\"id\":2,\"sta";  // torn: no newline, cut
   }
-  Result<std::unique_ptr<StateStore>> store = StateStore::Open(dir + "/state");
+  Result<std::unique_ptr<StateStore>> store =
+      StateStore::Open(dir.path() + "/state");
   ASSERT_TRUE(store.ok());
   const RecoveryScan scan = (*store)->Scan();
   EXPECT_EQ(scan.queries.size(), 2u);
@@ -365,8 +392,9 @@ TEST(StateStore, TornTailAndMidFileGarbageTolerated) {
 
 TEST(StateStore, StaleEpochQueriesDiscarded) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("epoch");
-  Result<std::unique_ptr<StateStore>> store = StateStore::Open(dir + "/state");
+  const TempDir dir("epoch");
+  Result<std::unique_ptr<StateStore>> store =
+      StateStore::Open(dir.path() + "/state");
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->AppendServer(1, 24, 80, 5).ok());
   EXPECT_TRUE(
@@ -385,10 +413,10 @@ TEST(StateStore, StaleEpochQueriesDiscarded) {
 
 TEST(StateStore, OpenFailsTypedOnUnusablePath) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("openfail");
-  { std::ofstream file(dir + "/blocker"); }
+  const TempDir dir("openfail");
+  { std::ofstream file(dir.path() + "/blocker"); }
   Result<std::unique_ptr<StateStore>> store =
-      StateStore::Open(dir + "/blocker/state");
+      StateStore::Open(dir.path() + "/blocker/state");
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kIoError);
 }
@@ -449,10 +477,10 @@ std::vector<std::string> BaselineJsonl(const AttributedGraph& graph,
 
 TEST(ServerRecovery, ResumesInterruptedJsonlByteIdentical) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("resume");
+  const TempDir dir("resume");
   auto graph = std::make_shared<const AttributedGraph>(
       RandomAttributed(11, 40, 6, 0.3, 0.45));
-  const std::vector<std::string> expected = BaselineJsonl(*graph, dir);
+  const std::vector<std::string> expected = BaselineJsonl(*graph, dir.path());
   ASSERT_GT(expected.size(), 4u);
 
   // Simulate the state a crashed server leaves behind: a journal with
@@ -460,7 +488,7 @@ TEST(ServerRecovery, ResumesInterruptedJsonlByteIdentical) {
   // holding the lines counted by the snapshot meta plus one trailing
   // line written after it (which recovery must truncate away and
   // re-emit via the resume).
-  const std::string out = dir + "/out.jsonl";
+  const std::string out = dir.path() + "/out.jsonl";
   QuerySpec spec = JsonlSpec(out);
   {
     MiningRequest partial = spec;
@@ -469,7 +497,7 @@ TEST(ServerRecovery, ResumesInterruptedJsonlByteIdentical) {
     ASSERT_TRUE(cut.ok());
     ASSERT_FALSE(cut->run.exhausted);
     Result<std::unique_ptr<StateStore>> store =
-        StateStore::Open(dir + "/state");
+        StateStore::Open(dir.path() + "/state");
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)
                     ->AppendServer(
@@ -487,7 +515,7 @@ TEST(ServerRecovery, ResumesInterruptedJsonlByteIdentical) {
     trailing << "{\"written\":\"after the snapshot\"}\n";
   }
 
-  ScpmServer server(graph, DurableOptions(dir + "/state"));
+  ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   EXPECT_EQ(server.recovered_queries(), 1u);
   EXPECT_TRUE(server.recovery_warnings().empty())
@@ -511,17 +539,17 @@ TEST(ServerRecovery, ResumesInterruptedJsonlByteIdentical) {
 /// byte-identical output, overwriting the stale partial file.
 TEST(ServerRecovery, V1TextSnapshotWarnsAndRerunsFromScratch) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("textv1");
+  const TempDir dir("textv1");
   auto graph = std::make_shared<const AttributedGraph>(
       RandomAttributed(11, 40, 6, 0.3, 0.45));
-  const std::vector<std::string> expected = BaselineJsonl(*graph, dir);
+  const std::vector<std::string> expected = BaselineJsonl(*graph, dir.path());
   ASSERT_GT(expected.size(), 4u);
 
-  const std::string out = dir + "/out.jsonl";
+  const std::string out = dir.path() + "/out.jsonl";
   QuerySpec spec = JsonlSpec(out);
   {
     Result<std::unique_ptr<StateStore>> store =
-        StateStore::Open(dir + "/state");
+        StateStore::Open(dir.path() + "/state");
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)
                     ->AppendServer(
@@ -531,7 +559,7 @@ TEST(ServerRecovery, V1TextSnapshotWarnsAndRerunsFromScratch) {
     ASSERT_TRUE((*store)->AppendAdmit(1, 1, QuerySpecToJson(spec)).ok());
     // Bound to this graph and these options, so only the encoding is
     // wrong.
-    std::ofstream ckpt(dir + "/state/q1.ckpt");
+    std::ofstream ckpt(dir.path() + "/state/q1.ckpt");
     ckpt << "scpm-query-meta 1 2 0 2\n"
          << "scpm-checkpoint 1\n"
          << "graph " << graph->NumVertices() << ' ' << graph->NumAttributes()
@@ -543,7 +571,7 @@ TEST(ServerRecovery, V1TextSnapshotWarnsAndRerunsFromScratch) {
     partial << expected[0] << "\n" << expected[1] << "\n";
   }
 
-  ScpmServer server(graph, DurableOptions(dir + "/state"));
+  ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   EXPECT_EQ(server.recovered_queries(), 1u);
   ASSERT_EQ(server.recovery_warnings().size(), 1u);
@@ -566,7 +594,7 @@ TEST(ServerRecovery, V1TextSnapshotWarnsAndRerunsFromScratch) {
 
 TEST(ServerRecovery, AccumulateReRunsFromScratchByteIdentical) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("scratch");
+  const TempDir dir("scratch");
   auto graph = std::make_shared<const AttributedGraph>(RandomAttributed(5));
   QuerySpec spec;
   spec.options.quasi_clique.gamma = 0.6;
@@ -580,7 +608,7 @@ TEST(ServerRecovery, AccumulateReRunsFromScratchByteIdentical) {
 
   {
     Result<std::unique_ptr<StateStore>> store =
-        StateStore::Open(dir + "/state");
+        StateStore::Open(dir.path() + "/state");
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)
                     ->AppendServer(
@@ -589,7 +617,7 @@ TEST(ServerRecovery, AccumulateReRunsFromScratchByteIdentical) {
                     .ok());
     ASSERT_TRUE((*store)->AppendAdmit(1, 1, QuerySpecToJson(spec)).ok());
   }
-  ScpmServer server(graph, DurableOptions(dir + "/state"));
+  ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   EXPECT_EQ(server.recovered_queries(), 1u);
   server.Start();
@@ -616,11 +644,11 @@ TEST(ServerRecovery, AccumulateReRunsFromScratchByteIdentical) {
 
 TEST(ServerRecovery, ChangedGraphShapeDiscardsEverything) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("shape");
+  const TempDir dir("shape");
   auto old_graph = std::make_shared<const AttributedGraph>(RandomAttributed(5));
   {
     Result<std::unique_ptr<StateStore>> store =
-        StateStore::Open(dir + "/state");
+        StateStore::Open(dir.path() + "/state");
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(
         (*store)
@@ -634,7 +662,7 @@ TEST(ServerRecovery, ChangedGraphShapeDiscardsEverything) {
   }
   auto new_graph = std::make_shared<const AttributedGraph>(
       RandomAttributed(6, 30, 6, 0.25, 0.4));
-  ScpmServer server(new_graph, DurableOptions(dir + "/state"));
+  ScpmServer server(new_graph, DurableOptions(dir.path() + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   EXPECT_EQ(server.recovered_queries(), 0u);
   ASSERT_FALSE(server.recovery_warnings().empty());
@@ -650,7 +678,7 @@ TEST(ServerRecovery, ChangedGraphShapeDiscardsEverything) {
 
 TEST(ServerRecovery, InvalidJournaledSpecWarnsTypedAndSkips) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("invalid");
+  const TempDir dir("invalid");
   auto graph = std::make_shared<const AttributedGraph>(RandomAttributed(5));
   // Journal an admit whose JSON is perfectly well-formed but whose
   // decoded QuerySpec fails Validate(): gamma outside (0, 1]. A crashed
@@ -660,7 +688,7 @@ TEST(ServerRecovery, InvalidJournaledSpecWarnsTypedAndSkips) {
   bad.options.quasi_clique.gamma = 1.5;
   {
     Result<std::unique_ptr<StateStore>> store =
-        StateStore::Open(dir + "/state");
+        StateStore::Open(dir.path() + "/state");
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)
                     ->AppendServer(
@@ -669,7 +697,7 @@ TEST(ServerRecovery, InvalidJournaledSpecWarnsTypedAndSkips) {
                     .ok());
     ASSERT_TRUE((*store)->AppendAdmit(7, 1, QuerySpecToJson(bad)).ok());
   }
-  ScpmServer server(graph, DurableOptions(dir + "/state"));
+  ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   EXPECT_EQ(server.recovered_queries(), 0u);
   ASSERT_EQ(server.recovery_warnings().size(), 1u);
@@ -691,15 +719,15 @@ TEST(ServerRecovery, InvalidJournaledSpecWarnsTypedAndSkips) {
 
 TEST(ServerRecovery, DrainSuspendsPersistsAndRecovers) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("drain");
+  const TempDir dir("drain");
   auto graph = std::make_shared<const AttributedGraph>(
       RandomAttributed(11, 40, 6, 0.3, 0.45));
-  const std::vector<std::string> expected = BaselineJsonl(*graph, dir);
-  const std::string out = dir + "/out.jsonl";
+  const std::vector<std::string> expected = BaselineJsonl(*graph, dir.path());
+  const std::string out = dir.path() + "/out.jsonl";
 
   std::uint64_t id = 0;
   {
-    ScpmServer server(graph, DurableOptions(dir + "/state"));
+    ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
     ASSERT_TRUE(server.Recover().ok());
     server.Start();
     Result<std::shared_ptr<QuerySession>> submitted =
@@ -718,7 +746,7 @@ TEST(ServerRecovery, DrainSuspendsPersistsAndRecovers) {
     EXPECT_EQ(rejected.status().code(), StatusCode::kInternal);
   }
 
-  ScpmServer server(graph, DurableOptions(dir + "/state"));
+  ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   // Either the query finished before the drain latched it (then the
   // terminal record exists and nothing recovers) or it was suspended
@@ -736,13 +764,13 @@ TEST(ServerRecovery, DrainSuspendsPersistsAndRecovers) {
 
 TEST(ServerRecovery, StatsReportDurabilityCounters) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("stats");
+  const TempDir dir("stats");
   auto graph = std::make_shared<const AttributedGraph>(RandomAttributed(5));
-  ScpmServer server(graph, DurableOptions(dir + "/state"));
+  ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
   ASSERT_TRUE(server.Recover().ok());
   server.Start();
   Result<std::shared_ptr<QuerySession>> submitted =
-      server.Submit(JsonlSpec(dir + "/out.jsonl"));
+      server.Submit(JsonlSpec(dir.path() + "/out.jsonl"));
   ASSERT_TRUE(submitted.ok());
   (*submitted)->WaitTerminal();
   const JsonValue stats = server.Stats();
@@ -782,9 +810,9 @@ void RunCrashChildServer(const std::shared_ptr<const AttributedGraph>& graph,
 
 TEST(CrashRecoveryE2E, SigkillMidQueryThenByteIdenticalRecovery) {
   FaultInjector::Instance().Reset();
-  const std::string dir = TempDir("sigkill");
-  const std::string state_dir = dir + "/state";
-  const std::string out = dir + "/out.jsonl";
+  const TempDir dir("sigkill");
+  const std::string state_dir = dir.path() + "/state";
+  const std::string out = dir.path() + "/out.jsonl";
   auto graph = std::make_shared<const AttributedGraph>(
       RandomAttributed(17, 52, 6, 0.3, 0.45));
 
@@ -840,7 +868,7 @@ TEST(CrashRecoveryE2E, SigkillMidQueryThenByteIdenticalRecovery) {
   }
   server.Shutdown();
 
-  EXPECT_EQ(SortedLines(out), BaselineJsonl(*graph, dir));
+  EXPECT_EQ(SortedLines(out), BaselineJsonl(*graph, dir.path()));
 }
 
 // ---------------------------------------------------------------------------
@@ -856,16 +884,16 @@ TEST(FaultSweep, SeededFailuresAlwaysLandTypedAndRecoverable) {
   std::uint64_t total_hits = 0;
   for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const std::string dir = TempDir("sweep" + std::to_string(seed));
+    const TempDir dir("sweep" + std::to_string(seed));
     FaultInjector::Instance().Seed(seed, 200);
 
     // Incarnation 1: mine under fire, then drain (snapshots may fail).
     {
-      ScpmServer server(graph, DurableOptions(dir + "/state"));
+      ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
       ASSERT_TRUE(server.Recover().ok());
       server.Start();
       Result<std::shared_ptr<QuerySession>> submitted =
-          server.Submit(JsonlSpec(dir + "/out.jsonl"));
+          server.Submit(JsonlSpec(dir.path() + "/out.jsonl"));
       if (submitted.ok()) {
         while (!(*submitted)->terminal() && (*submitted)->slices() < 3) {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -876,7 +904,7 @@ TEST(FaultSweep, SeededFailuresAlwaysLandTypedAndRecoverable) {
     // Incarnation 2: recovery itself runs under the same fault seed and
     // must still come up; queries either finish or fail typed.
     {
-      ScpmServer server(graph, DurableOptions(dir + "/state"));
+      ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
       ASSERT_TRUE(server.Recover().ok());
       server.Start();
       std::shared_ptr<QuerySession> session = server.Find(1);
@@ -896,7 +924,7 @@ TEST(FaultSweep, SeededFailuresAlwaysLandTypedAndRecoverable) {
     FaultInjector::Instance().Reset();
     // The state dir stays scannable whatever the faults did to it.
     Result<std::unique_ptr<StateStore>> store =
-        StateStore::Open(dir + "/state");
+        StateStore::Open(dir.path() + "/state");
     ASSERT_TRUE(store.ok());
     (void)(*store)->Scan();
   }

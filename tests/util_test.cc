@@ -478,15 +478,15 @@ TEST(FaultSpecTest, EmptyAndCommaOnlySpecsDisarmCleanly) {
 }
 
 TEST(FaultSpecTest, DynamicPointNamesScriptIndependently) {
-  // Dist code consults per-worker points like "worker-kill:2" — arbitrary
-  // names must script and count independently of their base name.
+  // A suffixed name like "socket-send:2" is a point of its own: it must
+  // script and count independently of its base name.
   FaultInjector& fi = FaultInjector::Instance();
   fi.Reset();
-  ASSERT_TRUE(fi.Configure("worker-kill:2=0").ok());
-  EXPECT_FALSE(fi.ShouldFail(fault::kWorkerKill));
-  EXPECT_FALSE(fi.ShouldFail("worker-kill:1"));
-  EXPECT_TRUE(fi.ShouldFail("worker-kill:2"));
-  EXPECT_FALSE(fi.ShouldFail("worker-kill:2"));  // scripted hits fire once
+  ASSERT_TRUE(fi.Configure("socket-send:2=0").ok());
+  EXPECT_FALSE(fi.ShouldFail(fault::kSocketSend));
+  EXPECT_FALSE(fi.ShouldFail("socket-send:1"));
+  EXPECT_TRUE(fi.ShouldFail("socket-send:2"));
+  EXPECT_FALSE(fi.ShouldFail("socket-send:2"));  // scripted hits fire once
   fi.Reset();
 }
 
