@@ -128,7 +128,7 @@ void RunEclatScenario(VertexId universe) {
   scpm::AttributedGraphBuilder builder(universe);
   const int num_attrs = 14;
   for (int a = 0; a < num_attrs; ++a) {
-    builder.InternAttribute("a" + std::to_string(a));
+    builder.InternAttribute(std::string("a").append(std::to_string(a)));
   }
   for (VertexId v = 0; v < universe; ++v) {
     for (scpm::AttributeId a = 0; a < static_cast<scpm::AttributeId>(num_attrs);

@@ -60,7 +60,7 @@ struct AttributeSetHash {
 /// are created only after every class member is evaluated), and only the
 /// two generating parents of a child are consulted — never whichever
 /// other subsets happen to be resident. That keeps the mined output and
-/// every counter independent of thread timing.
+/// the lattice counters independent of thread timing.
 class CoveredSetCache {
  public:
   using Entry = std::shared_ptr<const HybridVertexSet>;
@@ -277,6 +277,7 @@ class EngineRunner {
       }
     }
     if (begin < singles_.size()) PushRootEntry(begin, singles_.size());
+    OrderRootsLargestFirst();
   }
 
   /// A roots-phase checkpoint lists each frequent singleton at most once
@@ -373,6 +374,7 @@ class EngineRunner {
         }
         PushRootEntry(begin, singles_.size());
       }
+      OrderRootsLargestFirst();
       return Status::OK();
     }
 
@@ -566,6 +568,30 @@ class EngineRunner {
     entry.begin = begin;
     entry.end = end;
     frontier_.push_back(std::move(entry));
+  }
+
+  /// Orders the pending root batches so that RunWave, which pops from the
+  /// back, starts the heaviest first. Singletons have no parents, so root
+  /// evaluations are independent and only their start order moves: the
+  /// largest coverage searches, which set the critical path, share the
+  /// first wave instead of landing in later waves one after the other.
+  /// Weight is the summed tidset size; ties go to the lower `begin`, so
+  /// the order is total. FormRootClass re-sorts by emission index, so
+  /// class layout and keys do not depend on this order.
+  void OrderRootsLargestFirst() {
+    std::vector<std::size_t> prefix(singles_.size() + 1, 0);
+    for (std::size_t s = 0; s < singles_.size(); ++s) {
+      prefix[s + 1] = prefix[s] + graph_.VerticesWith(singles_[s].attr).size();
+    }
+    const auto mass = [&prefix](const FrontierEntry& e) {
+      return prefix[e.end] - prefix[e.begin];
+    };
+    std::sort(frontier_.begin(), frontier_.end(),
+              [&mass](const FrontierEntry& a, const FrontierEntry& b) {
+                const std::size_t ma = mass(a);
+                const std::size_t mb = mass(b);
+                return ma != mb ? ma < mb : a.begin > b.begin;
+              });
   }
 
   /// The calling worker's scratch (slot 0 in sequential mode and for the
@@ -897,8 +923,8 @@ class EngineRunner {
     // Adaptive granularity, subgraph side: a huge G(S) decomposes its own
     // quasi-clique search into branch tasks, borrowing pool slots from
     // the shared budget. The trigger compares deterministic sizes only,
-    // so the decision (and all counters downstream of it) is identical
-    // for every num_threads.
+    // so the decision (and intra_search_evaluations) is identical for
+    // every num_threads.
     const bool intra_search =
         options_.intra_search_min_universe != 0 &&
         universe.size() >= options_.intra_search_min_universe;

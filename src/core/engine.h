@@ -32,10 +32,11 @@
 //    exactly.
 //
 // Determinism contract: with no budget, the engine's output through an
-// AccumulatingSink is byte-identical — rows, patterns, and every counter
-// — to the pre-engine recursive miner, for any thread count and any
-// frontier wave size. Traversal order changes; the keyed emission order
-// and the per-evaluation arithmetic do not.
+// AccumulatingSink is byte-identical — rows, patterns, and the lattice
+// counters (see ScpmCounters) — to the pre-engine recursive miner, for
+// any thread count and any frontier wave size. Traversal order changes
+// (root batches start heaviest first); the keyed emission order and the
+// per-evaluation arithmetic do not.
 
 #ifndef SCPM_CORE_ENGINE_H_
 #define SCPM_CORE_ENGINE_H_
@@ -134,7 +135,7 @@ class EngineCheckpoint {
     // In-memory fast path (hot checkpoints): the live sets carried
     // across same-process segments so resume skips re-validation,
     // re-normalization, and tidset recomputation — required for sliced
-    // runs to keep byte-identical work counters, not just identical
+    // runs to keep byte-identical set-kernel counters, not just identical
     // output. Never serialized; Save() falls back to the cold form.
     // hot_tidset may borrow graph-owned storage, so a hot checkpoint
     // only resumes against the same live graph object.

@@ -96,7 +96,7 @@ struct ScpmOptions {
   /// evaluations), so a small lattice with huge induced subgraphs still
   /// saturates the workers. 0 disables intra-search parallelism. The
   /// threshold compares against deterministic quantities only, so output
-  /// and counters remain byte-identical for any num_threads.
+  /// and the lattice counters remain byte-identical for any num_threads.
   std::size_t intra_search_min_universe = 512;
 
   /// Decomposition depth forwarded to the quasi-clique miner when the
@@ -109,7 +109,7 @@ struct ScpmOptions {
   /// HybridVertexSet — dense 64-bit-word bitmaps once a set passes the
   /// density rule, sorted vectors otherwise — and dispatch intersections
   /// to the matching kernel. The representation is a pure function of
-  /// (size, universe), so output and every counter above stay
+  /// (size, universe), so output and the lattice counters stay
   /// byte-identical with the flag on or off and for any num_threads; off
   /// reproduces the pure merge-based engine (and zeroes the set-kernel
   /// counters below).
@@ -121,9 +121,14 @@ struct ScpmOptions {
   Status Validate() const;
 };
 
-/// Mining-effort counters. All are exact and deterministic: the batching
-/// and intra-search policies they track depend only on the input and the
-/// options, never on thread count or timing.
+/// Mining-effort counters, all exact for the run. The lattice counters —
+/// evaluated, reported, extended, evaluation_batches,
+/// intra_search_evaluations — and the set-kernel counters depend only on
+/// the input and the options, never on thread count or timing. The
+/// quasi-clique work counters — coverage_candidates, intra_branch_tasks —
+/// depend on how intra-search branch tasks were scheduled (see
+/// MinerStats), so they compare only between runs without a pool
+/// (num_threads 1).
 struct ScpmCounters {
   std::uint64_t attribute_sets_evaluated = 0;
   std::uint64_t attribute_sets_reported = 0;
@@ -134,7 +139,7 @@ struct ScpmCounters {
   std::uint64_t evaluation_batches = 0;
   /// Evaluations whose universe met intra_search_min_universe.
   std::uint64_t intra_search_evaluations = 0;
-  /// Branch tasks the intra-search decompositions produced in total.
+  /// Intra-search branch tasks that ran, in total.
   std::uint64_t intra_branch_tasks = 0;
   /// Set-kernel dispatches of the hybrid representation (zero when
   /// use_hybrid_sets is off): intersections that used a bitmap operand,

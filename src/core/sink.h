@@ -18,7 +18,7 @@
 // independent). AccumulatingSink sorts by it; streaming sinks may emit in
 // completion order — the *multiset* of emitted sets is deterministic, the
 // interleaving across concurrent frontier entries is not (with one worker
-// it is exactly the sequential order).
+// it is fixed by the frontier order).
 //
 // Threading contract: Emit may be called concurrently from pool workers;
 // every sink here synchronizes internally. A non-OK Emit status aborts

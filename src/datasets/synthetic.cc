@@ -54,8 +54,8 @@ Result<SyntheticDataset> GenerateSynthetic(const SyntheticConfig& config) {
   std::vector<AttributeSet> topics(config.num_topics);
   for (std::size_t t = 0; t < config.num_topics; ++t) {
     for (std::size_t j = 0; j < config.topic_size; ++j) {
-      const std::string name =
-          "t" + std::to_string(t) + "_" + std::to_string(j);
+      std::string name = "t";
+      name.append(std::to_string(t)).append("_").append(std::to_string(j));
       topics[t].push_back(builder.InternAttribute(name));
     }
     SortUnique(&topics[t]);
@@ -98,7 +98,8 @@ Result<SyntheticDataset> GenerateSynthetic(const SyntheticConfig& config) {
   std::vector<double> word_probability(config.vocab_size);
   double zipf_mass = 0.0;
   for (std::size_t w = 0; w < config.vocab_size; ++w) {
-    vocab[w] = builder.InternAttribute("w" + std::to_string(w));
+    vocab[w] =
+        builder.InternAttribute(std::string("w").append(std::to_string(w)));
     zipf_mass += std::pow(static_cast<double>(w) + 1.0,
                           -config.zipf_exponent);
   }

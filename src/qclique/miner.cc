@@ -258,21 +258,9 @@ class Search {
         collector_(k == 0 ? 1 : k),
         marker_(graph) {}
 
-  /// Stops the search (without error) once this many candidates have
-  /// been processed; the decomposed search's primer pass uses it to run
-  /// a deterministic sequential prefix.
-  void set_soft_limit(std::uint64_t limit) { soft_limit_ = limit; }
-
   /// Borrowed cancellation token, polled once per candidate; a latched
   /// token makes Run return StatusCode::kCancelled.
   void set_cancel(CancelToken* cancel) { cancel_ = cancel; }
-
-  /// Whether Run stopped at the soft limit with work left.
-  bool stopped_early() const { return stopped_early_; }
-
-  /// Coverage found so far, as a mask over the local vertex ids.
-  const std::vector<bool>& covered_mask() const { return covered_; }
-  VertexId covered_count() const { return covered_count_; }
 
   Status Run() {
     const VertexId n = graph_.NumVertices();
@@ -287,10 +275,6 @@ class Search {
     while (!work.empty()) {
       if (cancel_ != nullptr && cancel_->ShouldStop(&cancel_tick_)) {
         return Status::Cancelled("quasi-clique search cancelled");
-      }
-      if (soft_limit_ != 0 && stats_->candidates_processed >= soft_limit_) {
-        stopped_early_ = true;
-        return Status::OK();
       }
       Candidate cand;
       if (options_.order == SearchOrder::kBfs) {
@@ -449,27 +433,25 @@ class Search {
   TopKCollector collector_;              // kTopK
 
   TwoHopMarker marker_;  // diameter filter scratch
-  std::uint64_t soft_limit_ = 0;
-  bool stopped_early_ = false;
   CancelToken* cancel_ = nullptr;
   std::uint32_t cancel_tick_ = 0;  // clock-check throttle for cancel_
 };
 
 /// Decomposed (intra-parallel) search over one (already vertex-reduced)
-/// local graph; see the header's file comment for the contract.
+/// local graph, for maximal and coverage mode; see the header's file
+/// comment for the contract.
 ///
-/// Determinism: the decomposition into branch tasks is a pure function of
-/// (graph, options) — the ThreadPool/ParallelismBudget only choose where
-/// each task executes — and every task accumulates its own MinerStats and
-/// discoveries, merged in task-key order at the end.
-///
-/// Maximal mode has no cross-branch state, so its decomposition is
-/// fire-and-forget fork/join (RunBranch). Coverage mode's pruning power
-/// lives in the shared covered set, so it decomposes into *wave nodes*
-/// (CoverageWaveNode): coverage is exchanged only at deterministic wave
-/// barriers, never through live shared state, which may process more
-/// candidates than the sequential search but exactly the same number at
-/// every thread count.
+/// Every branch task runs one fire-and-forget loop (RunBranch), the
+/// Pangolin/Galois DFS idiom: a candidate shallower than spawn_depth
+/// hands each child with a large enough extension list to a new pool
+/// task when a ParallelismBudget slot is free, and keeps it on its own
+/// work stack otherwise, so without a pool the traversal is exactly
+/// Search's. There are no barriers. Maximal mode has no cross-branch
+/// state. Coverage mode prunes and covers against one covered bitmap of
+/// atomic words shared by every task: K_S is a union, so coverage that
+/// another task found earlier can only skip candidates whose vertices
+/// are all covered already. The covered set cannot change; how much
+/// pruning each task sees, and so the work counters, depends on timing.
 class ParallelSearch {
  public:
   ParallelSearch(const Graph& graph, const QuasiCliqueMinerOptions& options,
@@ -483,7 +465,7 @@ class ParallelSearch {
         cancel_(cancel),
         stats_(stats),
         prototype_(graph),
-        covered_(graph.NumVertices(), false) {
+        covered_((graph.NumVertices() + 63) / 64) {
     SCPM_CHECK(mode_ != Mode::kTopK)
         << "top-k pruning is traversal-order dependent";
     arenas_.resize(pool_ != nullptr ? pool_->num_threads() + 1 : 1);
@@ -496,69 +478,19 @@ class ParallelSearch {
     Candidate root;
     root.ext.resize(n);
     for (VertexId v = 0; v < n; ++v) root.ext[v] = v;
-
-    if (mode_ == Mode::kCoverage) {
-      std::vector<bool> running(n, false);
-      VertexId running_count = 0;
-      bool decompose = true;
-      if (options_.coverage_primer_candidates != 0) {
-        // Deterministic sequential primer: the exact sequential search,
-        // stopped after a fixed candidate budget, whose coverage seeds
-        // the whole decomposed tree. Searches that finish inside the
-        // primer skip decomposition (and its overheads) entirely. Its
-        // result sorts first, under the empty key.
-        TaskResult primer_result;
-        primer_result.stats.branch_tasks = 1;
-        Search primer(graph_, options_, Mode::kCoverage, 0,
-                      &primer_result.stats);
-        primer.set_soft_limit(options_.coverage_primer_candidates);
-        primer.set_cancel(cancel_);
-        SCPM_RETURN_IF_ERROR(primer.Run());
-        running = primer.covered_mask();
-        running_count = primer.covered_count();
-        decompose = primer.stopped_early() && running_count < n;
-        // Pre-charge the shared budget counter: max_candidates caps the
-        // primer and the decomposed phase together, exactly as it caps
-        // the one sequential search they replace.
-        shared_candidates_.store(primer_result.stats.candidates_processed);
-        results_.push_back(std::move(primer_result));
-      }
-      if (decompose) {
-        CoverageWaveNode(std::move(root), 0, {0}, &running, &running_count);
-      }
-      for (VertexId v = 0; v < n; ++v) {
-        if (running[v]) covered_[v] = true;
-      }
-    } else {
-      BranchTask task;
-      task.root = std::move(root);
-      SpawnOrRun(std::move(task));
-      if (pool_ != nullptr) pool_->WaitFor(&group_);
-    }
+    RunBranch(std::move(root), 0);
+    if (pool_ != nullptr) pool_->WaitFor(&group_);
 
     {
       std::lock_guard<std::mutex> lock(error_mutex_);
       if (!first_error_.ok()) return first_error_;
     }
-    // Key-ordered merge of the coverage wave nodes: lexicographic task
-    // keys reproduce the order in which the subtrees were split off,
-    // independent of completion order. (Counter sums are commutative, but
-    // the canonical order keeps the merge auditable.)
-    std::sort(results_.begin(), results_.end(),
-              [](const TaskResult& a, const TaskResult& b) {
-                return a.key < b.key;
-              });
-    for (TaskResult& r : results_) stats_->MergeFrom(r.stats);
-    // Maximal-mode results were folded into the shared antichain as
-    // each branch task finished (see RunBranch); the filter's final
-    // content is offer-order independent, so the fold order (branch
-    // completion timing) cannot show in the output.
-    stats_->MergeFrom(maximal_.stats);
+    stats_->MergeFrom(shared_.stats);
     return Status::OK();
   }
 
   std::vector<VertexSet> TakeMaximal() {
-    std::vector<VertexSet> keep = maximal_.filter.TakeSorted();
+    std::vector<VertexSet> keep = shared_.filter.TakeSorted();
     stats_->sets_reported = keep.size();
     return keep;
   }
@@ -566,42 +498,20 @@ class ParallelSearch {
   VertexSet TakeCoverage() const {
     VertexSet out;
     for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      if (covered_[v]) out.push_back(v);
+      if (IsCovered(v)) out.push_back(v);
     }
     return out;
   }
 
  private:
-  /// One maximal-mode branch task: a subtree root and its depth. No key:
-  /// maximal tasks fold into the shared accumulator (see below).
-  struct BranchTask {
-    Candidate root;
-    std::uint32_t depth = 0;
-  };
-
-  /// What one coverage wave node produced, tagged with its key for the
-  /// merge. Coverage itself is not stored here: each wave node's coverage
-  /// folds into its parent's running set at the wave barrier, so the
-  /// root call's running set — folded into covered_ by Run — already
-  /// holds the union, and keeping per-task masks alive until the merge
-  /// would cost O(tasks x n) memory for nothing.
-  struct TaskResult {
-    std::vector<std::uint32_t> key;
-    MinerStats stats;
-  };
-
-  /// Maximal-mode sink: every branch task folds its counters and its
-  /// local antichain in here the moment it finishes, so merge memory is
-  /// bounded by the live antichain instead of every set any branch ever
-  /// reported (deep decompositions spawn thousands of tasks).
-  /// Order-independent by construction: counter sums are commutative
-  /// and MaximalSetFilter's content is offer-order independent, so
-  /// output and stats stay byte-identical to the sequential search for
-  /// any completion interleaving.
-  struct MaximalAccumulator {
+  /// Where every branch task folds its counters (and, in maximal mode,
+  /// its local antichain) the moment it finishes, under one lock. Counter
+  /// sums are commutative and MaximalSetFilter's content is offer-order
+  /// independent, so completion order never shows in the output.
+  struct Accumulator {
     std::mutex mutex;
     MinerStats stats;
-    MaximalSetFilter filter;
+    MaximalSetFilter filter;  // kMaximal
   };
 
   /// Per-worker mutable search state; no branch task ever touches another
@@ -615,20 +525,10 @@ class ParallelSearch {
     std::uint32_t cancel_tick = 0;  // clock-check throttle; worker-local
   };
 
-  /// Executes `task` as a pool task when a budget slot is free, inline on
-  /// the calling thread otherwise. Inline recursion is bounded by
-  /// spawn_depth: only candidates shallower than it decompose children.
-  void SpawnOrRun(BranchTask task) {
-    if (pool_ != nullptr && budget_ != nullptr && budget_->TryAcquire()) {
-      auto boxed = std::make_shared<BranchTask>(std::move(task));
-      pool_->Spawn(&group_, [this, boxed] {
-        RunBranch(std::move(*boxed));
-        budget_->Release();
-      });
-    } else {
-      RunBranch(std::move(task));
-    }
-  }
+  struct WorkItem {
+    Candidate cand;
+    std::uint32_t depth = 0;
+  };
 
   /// The arena of the pool worker running the current task; slot 0 is the
   /// initiating thread (inline execution outside the pool).
@@ -648,280 +548,76 @@ class ParallelSearch {
     has_error_.store(true);
   }
 
-  static bool AllCovered(const Candidate& cand,
-                         const std::vector<bool>& covered) {
+  /// Runs `child` as a new pool task when a budget slot is free. Returns
+  /// false (and takes nothing) otherwise.
+  bool TrySpawn(Candidate* child, std::uint32_t depth) {
+    if (pool_ == nullptr || budget_ == nullptr || !budget_->TryAcquire()) {
+      return false;
+    }
+    auto boxed = std::make_shared<Candidate>(std::move(*child));
+    pool_->Spawn(&group_, [this, boxed, depth] {
+      RunBranch(std::move(*boxed), depth);
+      budget_->Release();
+    });
+    return true;
+  }
+
+  bool IsCovered(VertexId v) const {
+    const std::uint64_t word = covered_[v >> 6].load(std::memory_order_relaxed);
+    return (word >> (v & 63u)) & 1u;
+  }
+
+  bool AllCovered(const Candidate& cand) const {
     for (VertexId v : cand.x) {
-      if (!covered[v]) return false;
+      if (!IsCovered(v)) return false;
     }
     for (VertexId v : cand.ext) {
-      if (!covered[v]) return false;
+      if (!IsCovered(v)) return false;
     }
     return true;
   }
 
-  /// Marks the vertices of a discovered satisfying set as covered.
-  static void Cover(const VertexSet& q, std::vector<bool>* covered,
-                    VertexId* covered_count) {
+  /// Marks the vertices of a discovered satisfying set as covered. Each
+  /// bit goes from 0 to 1 in exactly one fetch_or, so the count is exact.
+  void Cover(const VertexSet& q) {
     for (VertexId v : q) {
-      if (!(*covered)[v]) {
-        (*covered)[v] = true;
-        ++*covered_count;
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63u);
+      std::atomic<std::uint64_t>& word = covered_[v >> 6];
+      if ((word.load(std::memory_order_relaxed) & bit) == 0 &&
+          (word.fetch_or(bit, std::memory_order_relaxed) & bit) == 0) {
+        covered_count_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
 
-  /// A spawned wave subtask's private coverage state: seeded from the
-  /// parent node's covered set at the wave's start, written only by that
-  /// subtask, folded back in slot order at the wave barrier.
-  struct WaveSlot {
-    std::vector<bool> covered;
-    VertexId count = 0;
-  };
-
-  /// One coverage-mode candidate step, shared by every coverage loop:
-  /// the budget check, coverage pruning, analysis, and verdict handling
-  /// (following critical-vertex jumps inline). Returns true when the
-  /// candidate expands, with its children in `children`; false when the
-  /// subtree resolved (or an error was recorded). Keeping this in one
-  /// place is what keeps the decomposed loops in counter lock-step.
-  bool CoverageStep(Candidate cand, WorkerArena* arena, MinerStats* stats,
-                    std::vector<bool>* covered, VertexId* covered_count,
-                    std::vector<Candidate>* children) {
-    const VertexId n = graph_.NumVertices();
-    while (!has_error_.load()) {
-      if (cancel_ != nullptr && cancel_->ShouldStop(&arena->cancel_tick)) {
-        RecordError(Status::Cancelled("quasi-clique search cancelled"));
-        return false;
-      }
-      ++stats->candidates_processed;
-      if (options_.max_candidates != 0 &&
-          shared_candidates_.fetch_add(1) + 1 > options_.max_candidates) {
-        RecordError(Status::OutOfRange("candidate budget exceeded"));
-        return false;
-      }
-      if (*covered_count == n) return false;
-      if (AllCovered(cand, *covered)) {
-        ++stats->pruned_by_coverage;
-        return false;
-      }
-      CandidateAnalysis analysis = arena->scratch.Analyze(
-          cand, options_.params, options_.enable_size_bound,
-          options_.enable_lookahead, options_.enable_critical_vertex);
-      if (analysis.verdict == CandidateVerdict::kPrune) {
-        ++stats->pruned_by_analysis;
-        return false;
-      }
-      if (analysis.verdict == CandidateVerdict::kLookahead) {
-        ++stats->lookahead_hits;
-        VertexSet whole;
-        SortedUnion(cand.x, analysis.pruned_ext, &whole);
-        Cover(whole, covered, covered_count);
-        return false;
-      }
-      if (!analysis.forced.empty()) {
-        ++stats->critical_vertex_jumps;
-        Candidate jump;
-        SortedUnion(cand.x, analysis.forced, &jump.x);
-        SortedDifference(analysis.pruned_ext, analysis.forced, &jump.ext);
-        cand = std::move(jump);
-        continue;
-      }
-      if (analysis.x_is_satisfying) {
-        Cover(cand.x, covered, covered_count);
-      }
-      BuildChildren(cand, analysis.pruned_ext, options_, &arena->marker,
-                    children);
-      return true;
-    }
-    return false;
-  }
-
-  /// Coverage-mode wave node. Set-enumeration trees are first-child
-  /// heavy, and in the sequential DFS it is the first child's subtree
-  /// whose coverage makes every later sibling cheap — so the node first
-  /// descends the first-child chain inline (collecting each level's
-  /// remaining siblings), then unwinds from the deepest level up,
-  /// running each level's siblings in fixed-size waves: siblings with
-  /// large extension lists become parallel subtasks seeded with the
-  /// coverage known when their wave starts (further wave nodes while
-  /// shallower than spawn_depth, sequential leaf tasks otherwise), small
-  /// siblings run inline against the live covered set. Each wave's
-  /// discoveries fold back into `covered` at a barrier before the next
-  /// wave. With wave size 1 this replays the sequential DFS exactly;
-  /// larger waves lose coverage pruning only between same-wave siblings.
-  /// Chain, wave boundaries, seeds, and the task split depend only on
-  /// the input, so output and counters are thread-count-independent.
-  void CoverageWaveNode(Candidate cand, std::uint32_t depth,
-                        std::vector<std::uint32_t> key,
-                        std::vector<bool>* covered, VertexId* covered_count) {
-    TaskResult result;
-    result.key = std::move(key);
-    result.stats.branch_tasks = 1;
-    const VertexId n = graph_.NumVertices();
-
-    // Descend the first-child chain (staying on critical-vertex jump
-    // candidates within a level).
-    struct Level {
-      std::vector<Candidate> siblings;
-      std::uint32_t depth = 0;
-    };
-    std::vector<Level> levels;
-    std::uint32_t cur_depth = depth;
-    WorkerArena& arena = Arena();
-    std::vector<Candidate> children;
-    while (CoverageStep(std::move(cand), &arena, &result.stats, covered,
-                        covered_count, &children) &&
-           !children.empty()) {
-      Level level;
-      level.depth = cur_depth + 1;
-      level.siblings.assign(std::make_move_iterator(children.begin() + 1),
-                            std::make_move_iterator(children.end()));
-      cand = std::move(children.front());
-      levels.push_back(std::move(level));
-      ++cur_depth;
-    }
-
-    // Unwind: deepest siblings first (the sequential DFS visit order),
-    // each level's siblings in waves seeded with all coverage so far.
-    const std::uint32_t wave =
-        std::max<std::uint32_t>(1, options_.coverage_wave);
-    for (std::size_t li = levels.size(); li-- > 0;) {
-      Level& level = levels[li];
-      if (*covered_count == n || has_error_.load()) break;
-      for (std::size_t begin = 0; begin < level.siblings.size();
-           begin += wave) {
-        if (*covered_count == n || has_error_.load()) break;
-        const std::size_t end = std::min(level.siblings.size(), begin + wave);
-        std::vector<WaveSlot> slots(end - begin);
-        ThreadPool::TaskGroup wave_group;
-        for (std::size_t c = begin; c < end; ++c) {
-          Candidate& sibling = level.siblings[c];
-          if (sibling.ext.size() >= options_.min_spawn_ext) {
-            std::vector<std::uint32_t> child_key = result.key;
-            child_key.push_back(static_cast<std::uint32_t>(li));
-            child_key.push_back(static_cast<std::uint32_t>(c + 1));
-            WaveSlot* slot = &slots[c - begin];
-            slot->covered = *covered;
-            slot->count = *covered_count;
-            DispatchCoverageTask(std::move(sibling), level.depth,
-                                 std::move(child_key), &wave_group, slot);
-          } else {
-            // Small subtree: not worth a task; runs right here against
-            // the live covered set, accounted to this node.
-            CoverageSubtreeLoop(std::move(sibling), covered, covered_count,
-                                &result.stats);
-          }
-        }
-        if (pool_ != nullptr) pool_->WaitFor(&wave_group);
-        // Fold the wave's discoveries into the next wave's seed, in slot
-        // order (union is commutative, so any order gives the same set).
-        for (const WaveSlot& slot : slots) {
-          for (std::size_t v = 0; v < slot.covered.size(); ++v) {
-            if (slot.covered[v] && !(*covered)[v]) {
-              (*covered)[v] = true;
-              ++*covered_count;
-            }
-          }
-        }
-      }
-    }
-
-    std::lock_guard<std::mutex> lock(results_mutex_);
-    results_.push_back(std::move(result));
-  }
-
-  /// Runs one wave child as a subtask — a further wave node while
-  /// shallower than spawn_depth, the plain sequential loop otherwise —
-  /// on the pool when a budget slot is free, inline otherwise.
-  void DispatchCoverageTask(Candidate child, std::uint32_t depth,
-                            std::vector<std::uint32_t> key,
-                            ThreadPool::TaskGroup* group, WaveSlot* slot) {
-    auto body = [this, depth, slot, child = std::move(child),
-                 key = std::move(key)]() mutable {
-      if (depth < options_.spawn_depth) {
-        CoverageWaveNode(std::move(child), depth, std::move(key),
-                         &slot->covered, &slot->count);
-        return;
-      }
-      TaskResult result;
-      result.key = std::move(key);
-      result.stats.branch_tasks = 1;
-      CoverageSubtreeLoop(std::move(child), &slot->covered, &slot->count,
-                          &result.stats);
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      results_.push_back(std::move(result));
-    };
-    if (pool_ != nullptr && budget_ != nullptr && budget_->TryAcquire()) {
-      pool_->Spawn(group, [this, body = std::move(body)]() mutable {
-        body();
-        budget_->Release();
-      });
+  void Report(VertexSet q, MaximalSetFilter* reported) {
+    if (mode_ == Mode::kCoverage) {
+      Cover(q);
     } else {
-      body();
+      reported->Offer(std::move(q));
     }
   }
 
-  /// Sequential exploration of one whole subtree against `covered`: the
-  /// leaf layer of the decomposed coverage search, and the inline path
-  /// for subtrees too small to be tasks.
-  void CoverageSubtreeLoop(Candidate root, std::vector<bool>* covered,
-                           VertexId* covered_count, MinerStats* stats) {
-    WorkerArena& arena = Arena();
-    std::deque<Candidate> work;
-    work.push_back(std::move(root));
-    std::vector<Candidate> children;
-    while (!work.empty()) {
-      if (has_error_.load()) return;
-      Candidate cand;
-      if (options_.order == SearchOrder::kBfs) {
-        cand = std::move(work.front());
-        work.pop_front();
-      } else {
-        cand = std::move(work.back());
-        work.pop_back();
-      }
-      if (!CoverageStep(std::move(cand), &arena, stats, covered,
-                        covered_count, &children)) {
-        continue;
-      }
-      if (options_.order == SearchOrder::kBfs) {
-        for (auto& c : children) work.push_back(std::move(c));
-      } else {
-        // Stack: push in reverse so the first child is expanded first.
-        for (auto it = children.rbegin(); it != children.rend(); ++it) {
-          work.push_back(std::move(*it));
-        }
-      }
-    }
-  }
-
-  /// Maximal-mode task body: the sequential candidate loop over this
-  /// subtree, except that candidates shallower than spawn_depth hand
-  /// their large children to new branch tasks instead of their own
-  /// deque. Maximal mode has no cross-branch pruning, so fire-and-forget
-  /// decomposition (no barriers) is exact.
-  void RunBranch(BranchTask task) {
+  /// One branch task: Search's candidate loop over this subtree, except
+  /// that candidates shallower than spawn_depth offer their large
+  /// children to new tasks (see TrySpawn).
+  void RunBranch(Candidate root, std::uint32_t root_depth) {
     MinerStats stats;
     stats.branch_tasks = 1;
     // Local antichain: dominated sets die inside the branch, shrinking
     // both this task's residency and the fold under the shared lock.
     MaximalSetFilter reported;
-
     WorkerArena& arena = Arena();
+    const VertexId n = graph_.NumVertices();
 
-    struct WorkItem {
-      Candidate cand;
-      std::uint32_t depth = 0;
-    };
     std::deque<WorkItem> work;
-    work.push_back({std::move(task.root), task.depth});
-
+    work.push_back({std::move(root), root_depth});
     std::vector<Candidate> children;
-    while (!work.empty()) {
-      if (has_error_.load()) return;
+    std::vector<Candidate> local;
+    while (!work.empty() && !has_error_.load()) {
       if (cancel_ != nullptr && cancel_->ShouldStop(&arena.cancel_tick)) {
         RecordError(Status::Cancelled("quasi-clique search cancelled"));
-        return;
+        break;
       }
       WorkItem item;
       if (options_.order == SearchOrder::kBfs) {
@@ -935,7 +631,14 @@ class ParallelSearch {
       if (options_.max_candidates != 0 &&
           shared_candidates_.fetch_add(1) + 1 > options_.max_candidates) {
         RecordError(Status::OutOfRange("candidate budget exceeded"));
-        return;
+        break;
+      }
+      if (mode_ == Mode::kCoverage) {
+        if (covered_count_.load(std::memory_order_relaxed) == n) break;
+        if (AllCovered(item.cand)) {
+          ++stats.pruned_by_coverage;
+          continue;
+        }
       }
 
       CandidateAnalysis analysis = arena.scratch.Analyze(
@@ -949,7 +652,7 @@ class ParallelSearch {
         ++stats.lookahead_hits;
         VertexSet whole;
         SortedUnion(item.cand.x, analysis.pruned_ext, &whole);
-        reported.Offer(std::move(whole));
+        Report(std::move(whole), &reported);
         continue;
       }
       if (!analysis.forced.empty()) {
@@ -960,24 +663,15 @@ class ParallelSearch {
         work.push_back({std::move(jump), item.depth});
         continue;
       }
-      if (analysis.x_is_satisfying) {
-        reported.Offer(item.cand.x);
-      }
+      if (analysis.x_is_satisfying) Report(item.cand.x, &reported);
 
-      // Deterministic split of the children: shallow candidates send
-      // every child with a large enough extension list off as a subtask;
-      // everything else continues in this task's deque.
       BuildChildren(item.cand, analysis.pruned_ext, options_, &arena.marker,
                     &children);
       const bool decompose = item.depth < options_.spawn_depth;
-      std::vector<Candidate> local;
+      local.clear();
       for (Candidate& child : children) {
-        if (decompose && child.ext.size() >= options_.min_spawn_ext) {
-          BranchTask sub;
-          sub.root = std::move(child);
-          sub.depth = item.depth + 1;
-          SpawnOrRun(std::move(sub));
-        } else {
+        if (!(decompose && child.ext.size() >= options_.min_spawn_ext &&
+              TrySpawn(&child, item.depth + 1))) {
           local.push_back(std::move(child));
         }
       }
@@ -991,12 +685,10 @@ class ParallelSearch {
       }
     }
 
-    // Fold into the shared accumulator: one lock round per task, merge
-    // memory bounded by the accumulated output.
-    std::lock_guard<std::mutex> lock(maximal_.mutex);
-    maximal_.stats.MergeFrom(stats);
+    std::lock_guard<std::mutex> lock(shared_.mutex);
+    shared_.stats.MergeFrom(stats);
     for (VertexSet& q : reported.TakeSorted()) {
-      maximal_.filter.Offer(std::move(q));
+      shared_.filter.Offer(std::move(q));
     }
   }
 
@@ -1013,16 +705,15 @@ class ParallelSearch {
   std::vector<std::unique_ptr<WorkerArena>> arenas_;
 
   ThreadPool::TaskGroup group_;
-  std::mutex results_mutex_;
-  std::vector<TaskResult> results_;  // coverage wave nodes + primer
-  MaximalAccumulator maximal_;
+  Accumulator shared_;
 
   std::mutex error_mutex_;
   Status first_error_;
   std::atomic<bool> has_error_{false};
   std::atomic<std::uint64_t> shared_candidates_{0};  // max_candidates only
 
-  std::vector<bool> covered_;  // kCoverage, after the merge
+  std::vector<std::atomic<std::uint64_t>> covered_;  // kCoverage, 1 bit/vertex
+  std::atomic<VertexId> covered_count_{0};
 };
 
 /// Applies vertex reduction and returns the working subgraph.

@@ -13,17 +13,17 @@
 // (paper §3.2.2); they are equivalent in output for MineMaximal and
 // MineCoverage and only differ in traversal cost.
 //
-// Intra-search parallelism (Galois kcl-style): with spawn_depth > 0 the
-// candidate-extension tree is *decomposed* into branch tasks — every
-// branch within spawn_depth of the root whose extension list is large
-// enough becomes its own task with its own key, scratch arena, and
-// MinerStats — and *executed* adaptively: a task runs on the attached
-// work-stealing ThreadPool when a ParallelismBudget slot is free, inline
-// otherwise. Decomposition depends only on the graph and the options,
-// never on thread count or timing, and per-task results are merged in
-// key order, so output and stats are identical for any thread count
-// (including no pool at all). MineTopK always searches sequentially: its
-// §3.2.3 dynamic min-size pruning depends on the traversal order.
+// Intra-search parallelism (Galois/Pangolin DFS-style): with
+// spawn_depth > 0, a candidate within spawn_depth of the root hands each
+// child whose extension list is large enough to a new branch task on the
+// attached work-stealing ThreadPool when a ParallelismBudget slot is
+// free; a child that gets no slot stays on its task's own work stack.
+// Tasks never wait on each other. In coverage mode they all prune
+// against one live covered bitmap. The output — maximal sets, covered
+// set — is identical for any thread count. The work counters in
+// MinerStats depend on which tasks ran where; without a pool the search
+// is exactly the sequential one. MineTopK always searches sequentially:
+// its §3.2.3 dynamic min-size pruning depends on the traversal order.
 
 #ifndef SCPM_QCLIQUE_MINER_H_
 #define SCPM_QCLIQUE_MINER_H_
@@ -75,41 +75,26 @@ struct QuasiCliqueMinerOptions {
   /// Abort with an error after this many candidates (0 = unlimited).
   std::uint64_t max_candidates = 0;
 
-  /// Intra-search parallel decomposition depth: candidate-tree branches
-  /// within this many levels of the search root become their own branch
-  /// tasks (0 = classic sequential search). Decomposition is purely a
-  /// function of the graph and these options, so results and stats do
-  /// not depend on whether (or where) tasks actually run in parallel.
-  /// Ignored by MineTopK (see the file comment).
+  /// Intra-search parallel depth: candidates within this many levels of
+  /// the search root may hand children to branch tasks (0 = classic
+  /// sequential search). Ignored by MineTopK (see the file comment).
   std::uint32_t spawn_depth = 0;
   /// Branches with fewer candidate extensions than this are never worth
-  /// a task of their own; they stay inline in their parent task. The
+  /// a task of their own; they stay on their parent task's stack. The
   /// default keeps tasks to thousands of candidates each — small enough
   /// to balance, large enough that task bookkeeping stays in the noise.
   std::uint32_t min_spawn_ext = 32;
-  /// Decomposed coverage searches first run the plain sequential search
-  /// for this many candidates and seed every branch task with the
-  /// coverage it found: cross-task sharing of live covered sets would
-  /// make counters timing-dependent, so coverage is shared only at
-  /// deterministic points. A search finishing within the budget skips
-  /// decomposition. 0 disables the primer.
-  std::uint64_t coverage_primer_candidates = 4096;
-  /// Decomposed coverage searches process each node's children in waves
-  /// of this many tasks with a barrier between waves; each wave is
-  /// seeded with the union of all coverage found before it (a
-  /// deterministic merge), so coverage pruning is lost only between
-  /// same-wave siblings. The sequential search is the wave-size-1 limit;
-  /// larger waves trade pruning for parallelism. Waves nest per
-  /// decomposition level, so concurrency scales like wave^spawn_depth.
-  std::uint32_t coverage_wave = 8;
 
   Status Validate() const;
 };
 
-/// Search-effort counters from the most recent mining call. In a
-/// decomposed (intra-parallel) search each branch task accumulates its
-/// own MinerStats, merged in task-key order at the end — never through
-/// shared atomics — so the totals are exact and thread-count-independent.
+/// Search-effort counters from the most recent mining call. In an
+/// intra-parallel search each branch task accumulates its own MinerStats
+/// and folds them in when it finishes, so the totals are exact for the
+/// run. They are not a function of the input alone: which children got
+/// a task, and how much coverage other tasks had found by the time a
+/// candidate was checked, depend on timing. Without a pool they equal
+/// the sequential search's (branch_tasks aside).
 struct MinerStats {
   std::uint64_t candidates_processed = 0;
   std::uint64_t pruned_by_analysis = 0;
@@ -118,11 +103,11 @@ struct MinerStats {
   std::uint64_t lookahead_hits = 0;
   std::uint64_t critical_vertex_jumps = 0;
   std::uint64_t sets_reported = 0;
-  /// Branch tasks the search was decomposed into (0 on the sequential
-  /// path). Deterministic: decomposition does not depend on execution.
+  /// Branch tasks that ran: 0 on the sequential path, 1 for an
+  /// intra-parallel search that spawned nothing.
   std::uint64_t branch_tasks = 0;
 
-  /// Key-ordered accumulation of one branch task's counters.
+  /// Adds one branch task's counters.
   void MergeFrom(const MinerStats& other);
 };
 
@@ -144,7 +129,7 @@ struct RankedQuasiClique {
 /// sets can dominate) with a 64-bit membership signature prefilter in
 /// front of the exact SortedIsSubset check. The final content equals
 /// the old batch filter's survivors for ANY offer order, which is what
-/// keeps the decomposed search's output independent of branch-task
+/// keeps the intra-parallel search's output independent of branch-task
 /// completion timing. Exposed for the equivalence fuzz tests.
 class MaximalSetFilter {
  public:
@@ -213,25 +198,25 @@ class QuasiCliqueMiner {
   /// workspace).
   void set_workspace(SubgraphWorkspace* workspace) { workspace_ = workspace; }
 
-  /// Attaches the pool and slot budget that execute decomposed branch
-  /// tasks (both borrowed; may be null). With spawn_depth > 0 and no
-  /// pool the search is still decomposed — byte-identical output and
-  /// stats — but every task runs inline on the calling thread.
+  /// Attaches the pool and slot budget that execute branch tasks (both
+  /// borrowed; may be null). With spawn_depth > 0 and no pool, every
+  /// child stays on the one task's stack: the traversal, and every
+  /// counter but branch_tasks, is the sequential search's.
   void set_parallel_context(ThreadPool* pool, ParallelismBudget* budget) {
     pool_ = pool;
     budget_ = budget;
   }
 
-  /// Adjusts the decomposition depth between Mine* calls (the adaptive
-  /// SCPM policy flips it per evaluation based on |G(S)|).
+  /// Adjusts the spawn depth between Mine* calls (the adaptive SCPM
+  /// policy flips it per evaluation based on |G(S)|).
   void set_spawn_depth(std::uint32_t depth) { options_.spawn_depth = depth; }
 
   /// Borrowed cooperative-cancellation token (may be null). Every search
-  /// loop — sequential, decomposed branch tasks, and wave nodes alike —
-  /// polls it once per candidate, so a long coverage search observes an
-  /// engine budget within one candidate's work of the flag latching. A
-  /// cancelled Mine* call returns StatusCode::kCancelled; partial
-  /// discoveries are discarded.
+  /// loop — sequential and branch tasks alike — polls it once per
+  /// candidate, so a long coverage search observes an engine budget
+  /// within one candidate's work of the flag latching. A cancelled Mine*
+  /// call returns StatusCode::kCancelled; partial discoveries are
+  /// discarded.
   void set_cancel_token(CancelToken* cancel) { cancel_ = cancel; }
 
  private:

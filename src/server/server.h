@@ -19,7 +19,7 @@
 // slice is cut goes to the BACK of the run queue (round-robin), so a
 // cheap query admitted behind a multi-second one completes within a
 // couple of slices instead of waiting it out. Slicing never changes
-// what a query returns: rows, patterns, and summed work counters stay
+// what a query returns: rows, patterns, and summed lattice counters stay
 // byte-identical to an unpreempted run (memo aside, which replays
 // work across queries by design).
 //

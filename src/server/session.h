@@ -20,10 +20,12 @@
 //
 // Determinism contract: because Resume() reproduces the exact uncut
 // union and hot checkpoints skip the cold-resume set rebuilding, a
-// query sliced into N segments reports rows, patterns, AND summed work
+// query sliced into N segments reports rows, patterns, AND summed lattice
 // counters byte-identical to a direct ScpmMiner::Mine with the same
 // options — for any slice size and thread count (memo detached; a memo
 // adds cross-segment replay that legitimately shrinks work counters).
+// The quasi-clique work counters depend on pool scheduling (see
+// ScpmCounters).
 //
 // Thread safety: Cancel() and Describe() may race ExecuteSlice() and
 // each other; state, pins, timings, and results are published under

@@ -49,7 +49,8 @@ AttributedGraph RandomAttributed(int seed, VertexId n = 24,
     }
   }
   for (int a = 0; a < num_attrs; ++a) {
-    const AttributeId id = builder.InternAttribute("a" + std::to_string(a));
+    const AttributeId id =
+        builder.InternAttribute(std::string("a").append(std::to_string(a)));
     for (VertexId v = 0; v < n; ++v) {
       if (rng.NextDouble() < attr_p) {
         EXPECT_TRUE(builder.AddVertexAttribute(v, id).ok());
@@ -61,8 +62,10 @@ AttributedGraph RandomAttributed(int seed, VertexId n = 24,
   return std::move(g).value();
 }
 
-/// Field-by-field equality of complete mining outputs including every
-/// counter (mirrors scpm_test.cc's harness).
+/// Field-by-field equality of complete mining outputs plus the lattice
+/// and set-kernel counters (mirrors scpm_test.cc's harness). These hold
+/// for any thread count; the quasi-clique work counters do not (see
+/// ExpectSameWork).
 void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   ASSERT_EQ(a.attribute_sets.size(), b.attribute_sets.size());
   for (std::size_t i = 0; i < a.attribute_sets.size(); ++i) {
@@ -89,15 +92,21 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
             b.counters.attribute_sets_reported);
   EXPECT_EQ(a.counters.attribute_sets_extended,
             b.counters.attribute_sets_extended);
-  EXPECT_EQ(a.counters.coverage_candidates, b.counters.coverage_candidates);
   EXPECT_EQ(a.counters.evaluation_batches, b.counters.evaluation_batches);
   EXPECT_EQ(a.counters.intra_search_evaluations,
             b.counters.intra_search_evaluations);
-  EXPECT_EQ(a.counters.intra_branch_tasks, b.counters.intra_branch_tasks);
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
   EXPECT_EQ(a.counters.galloping_intersections,
             b.counters.galloping_intersections);
   EXPECT_EQ(a.counters.dense_conversions, b.counters.dense_conversions);
+}
+
+/// The quasi-clique work counters: exact per run, but with a pool they
+/// depend on how intra-search tasks were scheduled, so they are compared
+/// only between runs without one (num_threads 1).
+void ExpectSameWork(const ScpmResult& a, const ScpmResult& b) {
+  EXPECT_EQ(a.counters.coverage_candidates, b.counters.coverage_candidates);
+  EXPECT_EQ(a.counters.intra_branch_tasks, b.counters.intra_branch_tasks);
 }
 
 /// Runs the engine with an AccumulatingSink; must exhaust.
@@ -146,6 +155,7 @@ TEST(SinkEquivalenceTest, AccumulatingMatchesMineAcrossTogglesAndThreads) {
       run_options.num_threads = threads;
       const ScpmResult engine_result = EngineAccumulate(g, run_options);
       ExpectIdenticalResults(*mined, engine_result);
+      if (threads == 1) ExpectSameWork(*mined, engine_result);
     }
     // Rows and patterns (not counters) also match the default cell.
     ASSERT_EQ(mined->attribute_sets.size(),
@@ -284,6 +294,112 @@ TEST(CheckpointResumeTest, RootsPhaseCheckpointRoundTrips) {
   auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/2);
   EXPECT_GT(segments, 2);
   ExpectSameUnion(uncut, std::move(united));
+}
+
+/// Root-order fixture: a graph with a spread of singleton supports, and
+/// one singleton per root batch so each frontier entry is one root.
+/// min_epsilon 0 makes every root extendable, so every evaluated root
+/// shows up in a roots-phase checkpoint's done_roots.
+ScpmOptions RootOrderOptions() {
+  ScpmOptions options;
+  options.quasi_clique.gamma = 0.5;
+  options.quasi_clique.min_size = 3;
+  options.min_support = 3;
+  options.min_epsilon = 0.0;
+  options.top_k = 2;
+  options.eval_batch_grain = 0;
+  return options;
+}
+
+/// Cuts `g` after `evals` root evaluations, one per wave.
+MiningRun CutInRoots(const AttributedGraph& g, const ScpmOptions& options,
+                     std::uint64_t evals, ScpmResult* emitted) {
+  ScpmEngine engine(options);
+  EngineBudget budget;
+  budget.max_evaluations = evals;
+  engine.set_budget(budget);
+  engine.set_frontier_wave(1);
+  AccumulatingSink sink;
+  Result<MiningRun> run = engine.Run(g, &sink);
+  EXPECT_TRUE(run.ok()) << run.status();
+  EXPECT_FALSE(run->exhausted);
+  EXPECT_TRUE(run->checkpoint.in_roots_phase);
+  *emitted = sink.TakeResult();
+  return std::move(run).value();
+}
+
+/// Singletons have no parents, so the engine starts the heaviest root
+/// batches first: a roots-phase cut after k one-root waves has evaluated
+/// exactly the k singletons with the largest tidsets (ties by attribute
+/// order), and the cut plus its resume is still the uncut run.
+TEST(RootOrderTest, RootsPhaseCutEvaluatesHeaviestSingletonsFirst) {
+  const AttributedGraph g = RandomAttributed(5, /*n=*/40, /*num_attrs=*/8,
+                                             /*edge_p=*/0.25, /*attr_p=*/0.5);
+  const ScpmOptions options = RootOrderOptions();
+  std::vector<std::pair<std::size_t, AttributeId>> singles;
+  for (AttributeId a = 0; a < g.NumAttributes(); ++a) {
+    const std::size_t support = g.VerticesWith(a).size();
+    if (support >= options.min_support) singles.emplace_back(support, a);
+  }
+  std::sort(singles.begin(), singles.end(), [](const auto& x, const auto& y) {
+    return x.first != y.first ? x.first > y.first : x.second < y.second;
+  });
+  constexpr std::size_t kCut = 3;
+  ASSERT_GT(singles.size(), kCut);
+  // The heaviest roots are not simply the first attributes.
+  ASSERT_NE(singles[0].second, 0u);
+
+  ScpmResult first;
+  const MiningRun run = CutInRoots(g, options, kCut, &first);
+  std::vector<AttributeId> done;
+  for (const EngineCheckpoint::DoneRoot& dr : run.checkpoint.done_roots) {
+    done.push_back(dr.attr);
+  }
+  std::vector<AttributeId> heaviest;
+  for (std::size_t k = 0; k < kCut; ++k) heaviest.push_back(singles[k].second);
+  std::sort(done.begin(), done.end());
+  std::sort(heaviest.begin(), heaviest.end());
+  EXPECT_EQ(done, heaviest);
+
+  EngineBudget budget;
+  budget.max_evaluations = kCut;
+  auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/1);
+  EXPECT_GT(segments, 1);
+  ExpectSameUnion(EngineAccumulate(g, options), std::move(united));
+}
+
+/// A roots-phase checkpoint whose pending batches are in attribute order
+/// (as every checkpoint was before roots ran largest first) resumes to
+/// the uncut output: the resume puts the batches in weight order itself.
+TEST(RootOrderTest, ResumesAttributeOrderedRootsCheckpoint) {
+  const AttributedGraph g = RandomAttributed(5, /*n=*/40, /*num_attrs=*/8,
+                                             /*edge_p=*/0.25, /*attr_p=*/0.5);
+  const ScpmOptions options = RootOrderOptions();
+  ScpmResult united;
+  const MiningRun run = CutInRoots(g, options, /*evals=*/2, &united);
+  Result<EngineCheckpoint> cp =
+      EngineCheckpoint::Parse(run.checkpoint.Serialize());
+  ASSERT_TRUE(cp.ok()) << cp.status();
+  const auto by_index = [](const EngineCheckpoint::PendingRootBatch& a,
+                           const EngineCheckpoint::PendingRootBatch& b) {
+    return a.indices.front() < b.indices.front();
+  };
+  ASSERT_FALSE(std::is_sorted(cp->root_batches.begin(),
+                              cp->root_batches.end(), by_index));
+  std::sort(cp->root_batches.begin(), cp->root_batches.end(), by_index);
+
+  ScpmEngine engine(options);
+  AccumulatingSink sink;
+  Result<MiningRun> rest = engine.Resume(g, *cp, &sink);
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  EXPECT_TRUE(rest->exhausted);
+  ScpmResult tail = sink.TakeResult();
+  for (auto& s : tail.attribute_sets) {
+    united.attribute_sets.push_back(std::move(s));
+  }
+  for (auto& p : tail.patterns) united.patterns.push_back(std::move(p));
+  SortCanonical(&united);
+  ExpectSameUnion(EngineAccumulate(g, options), std::move(united));
 }
 
 class ResumeSweep : public ::testing::TestWithParam<int> {};

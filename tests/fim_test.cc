@@ -142,7 +142,8 @@ TEST_P(EclatSweep, MatchesBruteForce) {
   AttributedGraphBuilder builder(30);
   std::vector<AttributeId> attrs;
   for (int a = 0; a < 10; ++a) {
-    attrs.push_back(builder.InternAttribute("a" + std::to_string(a)));
+    attrs.push_back(
+        builder.InternAttribute(std::string("a").append(std::to_string(a))));
   }
   for (VertexId v = 0; v < 30; ++v) {
     for (AttributeId a : attrs) {
@@ -212,7 +213,7 @@ TEST_P(AprioriEclatSweep, AgreesWithEclat) {
   Rng rng(GetParam());
   AttributedGraphBuilder builder(25);
   for (int a = 0; a < 9; ++a) {
-    builder.InternAttribute("a" + std::to_string(a));
+    builder.InternAttribute(std::string("a").append(std::to_string(a)));
   }
   for (VertexId v = 0; v < 25; ++v) {
     for (AttributeId a = 0; a < 9; ++a) {
@@ -254,7 +255,7 @@ TEST_P(EclatHybridSweep, HybridOnOffProduceIdenticalItemsets) {
   // through the bitmap kernels.
   AttributedGraphBuilder builder(200);
   for (int a = 0; a < 8; ++a) {
-    builder.InternAttribute("a" + std::to_string(a));
+    builder.InternAttribute(std::string("a").append(std::to_string(a)));
   }
   for (VertexId v = 0; v < 200; ++v) {
     for (AttributeId a = 0; a < 8; ++a) {
@@ -314,7 +315,7 @@ TEST_P(AprioriHybridSweep, HybridOnOffProduceIdenticalItemsets) {
   Rng rng(GetParam() + 100);
   AttributedGraphBuilder builder(200);
   for (int a = 0; a < 7; ++a) {
-    builder.InternAttribute("a" + std::to_string(a));
+    builder.InternAttribute(std::string("a").append(std::to_string(a)));
   }
   for (VertexId v = 0; v < 200; ++v) {
     for (AttributeId a = 0; a < 7; ++a) {

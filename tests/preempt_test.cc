@@ -57,7 +57,8 @@ AttributedGraph RandomAttributed(int seed, VertexId n = 24,
     }
   }
   for (int a = 0; a < num_attrs; ++a) {
-    const AttributeId id = builder.InternAttribute("a" + std::to_string(a));
+    const AttributeId id =
+        builder.InternAttribute(std::string("a").append(std::to_string(a)));
     for (VertexId v = 0; v < n; ++v) {
       if (rng.NextDouble() < attr_p) {
         EXPECT_TRUE(builder.AddVertexAttribute(v, id).ok());
@@ -96,9 +97,10 @@ void ExpectIdenticalRows(const ScpmResult& a, const ScpmResult& b) {
   }
 }
 
-/// Full identity, every work counter included. The slicing pin: a run
-/// cut into N hot-checkpoint segments must sum to exactly the uncut
-/// run's counters.
+/// Output plus the lattice and set-kernel counters. The slicing pin: a
+/// run cut into N hot-checkpoint segments must sum to exactly the uncut
+/// run's counters. The quasi-clique work counters are left out: a
+/// session runs on the server's pool, where they depend on scheduling.
 void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   ExpectIdenticalRows(a, b);
   EXPECT_EQ(a.counters.attribute_sets_evaluated,
@@ -107,7 +109,6 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
             b.counters.attribute_sets_reported);
   EXPECT_EQ(a.counters.attribute_sets_extended,
             b.counters.attribute_sets_extended);
-  EXPECT_EQ(a.counters.coverage_candidates, b.counters.coverage_candidates);
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
   EXPECT_EQ(a.counters.galloping_intersections,
             b.counters.galloping_intersections);

@@ -80,7 +80,8 @@ AttributedGraph RandomAttributed(int seed, VertexId n = 24, int num_attrs = 5,
     }
   }
   for (int a = 0; a < num_attrs; ++a) {
-    const AttributeId id = builder.InternAttribute("a" + std::to_string(a));
+    const AttributeId id =
+        builder.InternAttribute(std::string("a").append(std::to_string(a)));
     for (VertexId v = 0; v < n; ++v) {
       if (rng.NextDouble() < attr_p) {
         EXPECT_TRUE(builder.AddVertexAttribute(v, id).ok());

@@ -55,7 +55,8 @@ AttributedGraph RandomAttributed(int seed, VertexId n = 24,
     }
   }
   for (int a = 0; a < num_attrs; ++a) {
-    const AttributeId id = builder.InternAttribute("a" + std::to_string(a));
+    const AttributeId id =
+        builder.InternAttribute(std::string("a").append(std::to_string(a)));
     for (VertexId v = 0; v < n; ++v) {
       if (rng.NextDouble() < attr_p) {
         EXPECT_TRUE(builder.AddVertexAttribute(v, id).ok());
@@ -91,8 +92,10 @@ void ExpectIdenticalRows(const ScpmResult& a, const ScpmResult& b) {
   }
 }
 
-/// Full identity including every counter (memo-cold runs do all the
-/// work, so even the work counters must match a direct Mine()).
+/// Output plus the lattice and set-kernel counters (memo-cold runs do
+/// all the work, so even the set-kernel counters match a direct Mine()).
+/// The quasi-clique work counters are left out: a session runs on the
+/// server's pool, where they depend on scheduling.
 void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   ExpectIdenticalRows(a, b);
   EXPECT_EQ(a.counters.attribute_sets_evaluated,
@@ -101,7 +104,6 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
             b.counters.attribute_sets_reported);
   EXPECT_EQ(a.counters.attribute_sets_extended,
             b.counters.attribute_sets_extended);
-  EXPECT_EQ(a.counters.coverage_candidates, b.counters.coverage_candidates);
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
   EXPECT_EQ(a.counters.galloping_intersections,
             b.counters.galloping_intersections);
@@ -147,8 +149,8 @@ TEST(ServerTest, MatchesDirectMineMemoColdAndHotAcrossThreadCounts) {
     cold->WaitTerminal();
     ASSERT_EQ(cold->state(), QueryState::kDone);
     EXPECT_TRUE(cold->run().exhausted);
-    // Cold: all evaluations did real work, so the full counter set
-    // matches a direct Mine().
+    // Cold: all evaluations did real work, so the counters match a
+    // direct Mine().
     ExpectIdenticalResults(cold->result(), direct);
     EXPECT_EQ(cold->run().memo_hits, 0u);
     EXPECT_EQ(cold->run().memo_misses,
