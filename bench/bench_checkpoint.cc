@@ -1,11 +1,9 @@
 // Checkpoint codec benchmark (ours; the binary v2 codec in
 // core/ckpt_codec.cc): encode/decode time and snapshot size on
 // CiteSeer-scale frontiers, in both the roots-phase (cold start) and
-// tree-phase (deep lattice) shapes, encoding both hot snapshots
-// (straight off a budget cut, covered sets still live) and cold ones
-// (round-tripped through a parse, the crash-recovery path). Timings
-// flow into BENCH_checkpoint.json for the perf-trend gate; the size
-// guards live in ckpt_codec_test.
+// tree-phase (deep lattice) shapes. Timings flow into
+// BENCH_checkpoint.json for the perf-trend gate; the size guards live in
+// ckpt_codec_test.
 
 #include <cstdint>
 #include <iomanip>
@@ -33,7 +31,7 @@ scpm::ScpmOptions CiteseerOptions() {
 }
 
 /// Budget-cuts (and resumes) the engine until the cut lands in the
-/// wanted phase, returning the hot frontier it left behind.
+/// wanted phase, returning the frontier it left behind.
 scpm::EngineCheckpoint CutFrontier(const scpm::AttributedGraph& graph,
                                    std::uint64_t max_evaluations,
                                    bool want_roots_phase) {
@@ -132,33 +130,21 @@ int main() {
             << graph.graph().NumEdges() << " edges, "
             << graph.NumAttributes() << " attributes\n\n";
 
-  // Hot frontiers straight off the cut, then cold re-parses of the same
-  // bytes (what recovery decodes after a crash).
-  const scpm::EngineCheckpoint roots_hot =
+  const scpm::EngineCheckpoint roots =
       CutFrontier(graph, /*max_evaluations=*/4, /*want_roots_phase=*/true);
-  const scpm::EngineCheckpoint tree_hot =
+  const scpm::EngineCheckpoint tree =
       CutFrontier(graph, /*max_evaluations=*/64, /*want_roots_phase=*/false);
-  scpm::Result<scpm::EngineCheckpoint> roots_cold =
-      scpm::EngineCheckpoint::Parse(roots_hot.Serialize());
-  scpm::Result<scpm::EngineCheckpoint> tree_cold =
-      scpm::EngineCheckpoint::Parse(tree_hot.Serialize());
-  if (!roots_cold.ok() || !tree_cold.ok()) {
-    std::cerr << "round-trip failed\n";
-    return 1;
-  }
-  std::cout << "frontiers: roots done=" << roots_hot.done_roots.size()
-            << " batches=" << roots_hot.root_batches.size()
-            << "; tree classes=" << tree_hot.classes.size()
-            << " expansions=" << tree_hot.expansions.size() << "\n\n";
+  std::cout << "frontiers: roots done=" << roots.done_roots.size()
+            << " batches=" << roots.root_batches.size()
+            << "; tree classes=" << tree.classes.size()
+            << " expansions=" << tree.expansions.size() << "\n\n";
 
   std::cout << std::left << std::setw(26) << "scenario" << std::right
             << std::setw(10) << "bytes" << std::setw(12) << "encode us"
             << std::setw(12) << "decode us" << "\n";
 
   scpm::bench::JsonReport report("checkpoint");
-  BenchScenario(&report, "roots-hot", roots_hot);
-  BenchScenario(&report, "roots-cold", *roots_cold);
-  BenchScenario(&report, "tree-hot", tree_hot);
-  BenchScenario(&report, "tree-cold", *tree_cold);
+  BenchScenario(&report, "roots", roots);
+  BenchScenario(&report, "tree", tree);
   return report.Write() ? 0 : 1;
 }

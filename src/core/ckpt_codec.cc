@@ -24,7 +24,6 @@
 #include <cstring>
 #include <istream>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -33,20 +32,10 @@
 
 #include "core/engine.h"
 #include "graph/types.h"
-#include "util/hybrid_set.h"
 #include "util/status.h"
 
 namespace scpm {
 namespace {
-
-// Hot checkpoints carry live hybrid sets and leave the cold vector
-// empty; serialization materializes the cold form so a saved file is
-// identical either way.
-VertexSet ColdCovered(const VertexSet& cold,
-                      const std::shared_ptr<const HybridVertexSet>& hot) {
-  if (hot != nullptr && cold.empty()) return hot->ToVector();
-  return cold;
-}
 
 // Layout ("fixed64" = 8 bytes little-endian, everything else varint):
 //
@@ -152,9 +141,9 @@ struct ByteReader {
 
 // Interns sorted u32 sets; ids are assigned in lexicographic order so
 // the encoded table is deterministic and front-coding sees maximally
-// similar neighbors. Keys are pointers into the caller's materialized
-// sets (which outlive the interner) compared by value — encode never
-// copies a covered set.
+// similar neighbors. Keys are pointers into the checkpoint's own sets
+// (which outlive the interner) compared by value — encode never copies
+// a covered set.
 class SetInterner {
  public:
   void Add(const std::vector<std::uint32_t>& set) { ids_.emplace(&set, 0); }
@@ -246,22 +235,14 @@ bool ReadSetTable(ByteReader* r, std::vector<std::vector<std::uint32_t>>* out) {
 }
 
 std::string EncodeBinary(const EngineCheckpoint& cp) {
-  // Materialize hot covered sets once; reused for interning and for the
-  // id lookups below.
-  std::vector<VertexSet> root_covered;
-  root_covered.reserve(cp.done_roots.size());
-  for (const EngineCheckpoint::DoneRoot& dr : cp.done_roots) {
-    root_covered.push_back(ColdCovered(dr.covered, dr.hot_covered));
-  }
-  std::vector<std::vector<VertexSet>> member_covered(cp.classes.size());
   SetInterner vsets;
   SetInterner asets;
-  for (const VertexSet& v : root_covered) vsets.Add(v);
-  for (std::size_t c = 0; c < cp.classes.size(); ++c) {
-    member_covered[c].reserve(cp.classes[c].members.size());
-    for (const EngineCheckpoint::Member& m : cp.classes[c].members) {
-      member_covered[c].push_back(ColdCovered(m.covered, m.hot_covered));
-      vsets.Add(member_covered[c].back());
+  for (const EngineCheckpoint::DoneRoot& dr : cp.done_roots) {
+    vsets.Add(dr.covered);
+  }
+  for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
+    for (const EngineCheckpoint::Member& m : pc.members) {
+      vsets.Add(m.covered);
       asets.Add(m.items);
     }
   }
@@ -278,10 +259,10 @@ std::string EncodeBinary(const EngineCheckpoint& cp) {
   asets.AppendTable(&payload);
 
   AppendVarint(&payload, cp.done_roots.size());
-  for (std::size_t k = 0; k < cp.done_roots.size(); ++k) {
-    AppendVarint(&payload, cp.done_roots[k].index);
-    AppendVarint(&payload, cp.done_roots[k].attr);
-    AppendVarint(&payload, vsets.IdOf(root_covered[k]));
+  for (const EngineCheckpoint::DoneRoot& dr : cp.done_roots) {
+    AppendVarint(&payload, dr.index);
+    AppendVarint(&payload, dr.attr);
+    AppendVarint(&payload, vsets.IdOf(dr.covered));
   }
   AppendVarint(&payload, cp.root_batches.size());
   for (const EngineCheckpoint::PendingRootBatch& batch : cp.root_batches) {
@@ -292,14 +273,13 @@ std::string EncodeBinary(const EngineCheckpoint& cp) {
     }
   }
   AppendVarint(&payload, cp.classes.size());
-  for (std::size_t c = 0; c < cp.classes.size(); ++c) {
-    const EngineCheckpoint::PendingClass& pc = cp.classes[c];
+  for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
     AppendVarint(&payload, pc.path.size());
     for (std::uint32_t p : pc.path) AppendVarint(&payload, p);
     AppendVarint(&payload, pc.members.size());
-    for (std::size_t k = 0; k < pc.members.size(); ++k) {
-      AppendVarint(&payload, asets.IdOf(pc.members[k].items));
-      AppendVarint(&payload, vsets.IdOf(member_covered[c][k]));
+    for (const EngineCheckpoint::Member& m : pc.members) {
+      AppendVarint(&payload, asets.IdOf(m.items));
+      AppendVarint(&payload, vsets.IdOf(m.covered));
     }
   }
   AppendVarint(&payload, cp.expansions.size());

@@ -198,27 +198,14 @@ struct EntryCtx {
 /// the wave loop.
 class EngineRunner {
  public:
-  EngineRunner(
-      const AttributedGraph& graph, const ScpmOptions& options,
-      const EngineBudget& budget, std::size_t wave,
-      ExpectationModel* null_model, PatternSink* sink,
-      const std::function<void(const EngineProgress&)>& progress,
-      std::uint64_t checkpoint_interval_ms,
-      const std::function<void(const EngineCheckpoint&, const EngineProgress&)>&
-          checkpoint_observer,
-      ThreadPool* shared_pool, ParallelismBudget* shared_intra_budget,
-      EvalMemo* memo, CancelToken* cancel, bool hot_checkpoints)
+  EngineRunner(const AttributedGraph& graph, const ScpmOptions& options,
+               ExpectationModel* null_model, const EngineEnvironment& env,
+               PatternSink* sink)
       : graph_(graph),
         options_(options),
-        budget_(budget),
-        wave_(wave),
         null_model_(null_model),
+        env_(env),
         sink_(sink),
-        progress_(progress),
-        checkpoint_interval_ms_(checkpoint_interval_ms),
-        checkpoint_observer_(checkpoint_observer),
-        memo_(memo),
-        hot_checkpoints_(hot_checkpoints),
         // Slot count caps the intra-search branch tasks outstanding at
         // once across ALL evaluations: a huge-G(S) evaluation that grabs
         // slots is borrowing parallelism its sibling evaluations would
@@ -226,11 +213,12 @@ class EngineRunner {
         // shared pool the caller's budget plays that role server-wide.
         own_intra_budget_(options.num_threads > 1 ? 2 * options.num_threads
                                                   : 0),
-        intra_budget_(shared_intra_budget != nullptr ? shared_intra_budget
-                                                     : &own_intra_budget_),
-        token_(cancel != nullptr ? *cancel : own_token_) {
-    if (shared_pool != nullptr) {
-      pool_ = shared_pool;
+        intra_budget_(env.shared_intra_budget != nullptr
+                          ? env.shared_intra_budget
+                          : &own_intra_budget_),
+        token_(env.cancel != nullptr ? *env.cancel : own_token_) {
+    if (env.shared_pool != nullptr) {
+      pool_ = env.shared_pool;
     } else if (options_.num_threads > 1) {
       owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
       pool_ = owned_pool_.get();
@@ -333,7 +321,9 @@ class EngineRunner {
       return IsStrictlySorted(covered) &&
              (covered.empty() || covered.back() < graph_.NumVertices());
     };
-    SetOpStats* stats = SeedSetStats();
+    // Seeding rebuilds sets the cut segment already built and counted, so
+    // none of it is counted again: the segments' summed counters then
+    // equal an uncut run's.
     if (cp.in_roots_phase) {
       SCPM_RETURN_IF_ERROR(ValidateRoots(cp));
       phase_roots_ = true;
@@ -344,24 +334,13 @@ class EngineRunner {
         rs.done = true;
         rs.slot.node.items = {dr.attr};
         rs.slot.extendable = true;
-        if (dr.hot_covered != nullptr) {
-          // Hot path: adopt the live sets verbatim. They were produced
-          // by this process, so no re-validation, no re-normalization,
-          // no conversion counting — summed counters across segments
-          // stay equal to an uncut run's.
-          rs.slot.node.tidset = dr.hot_tidset;
-          rs.slot.covered = dr.hot_covered;
-        } else {
-          if (!valid_covered(dr.covered)) {
-            return Status::InvalidArgument(
-                "checkpoint root covered set malformed");
-          }
-          rs.slot.node.tidset = HybridVertexSet::View(
-              &graph_.VerticesWith(dr.attr), SetUniverse());
-          rs.slot.node.tidset.Normalize(stats);
-          rs.slot.covered = std::make_shared<const HybridVertexSet>(
-              HybridVertexSet::FromVector(dr.covered, SetUniverse(), stats));
+        if (!valid_covered(dr.covered)) {
+          return Status::InvalidArgument(
+              "checkpoint root covered set malformed");
         }
+        rs.slot.node.tidset = RecomputeTidset(rs.slot.node.items);
+        rs.slot.covered = std::make_shared<const HybridVertexSet>(
+            HybridVertexSet::FromVector(dr.covered, SetUniverse(), nullptr));
         singles_.push_back(std::move(rs));
       }
       for (const EngineCheckpoint::PendingRootBatch& batch : cp.root_batches) {
@@ -412,22 +391,16 @@ class EngineRunner {
           return Status::InvalidArgument(
               "checkpoint member attribute set appears twice");
         }
+        if (!valid_covered(m.covered)) {
+          return Status::InvalidArgument(
+              "checkpoint member covered set malformed");
+        }
         Node node;
         node.items = m.items;
-        if (m.hot_covered != nullptr) {
-          // Hot path: see the roots-phase comment above.
-          node.tidset = m.hot_tidset;
-          cache_.Insert(m.items, m.hot_covered);
-        } else {
-          if (!valid_covered(m.covered)) {
-            return Status::InvalidArgument(
-                "checkpoint member covered set malformed");
-          }
-          node.tidset = RecomputeTidset(m.items, stats);
-          cache_.Insert(m.items, std::make_shared<const HybridVertexSet>(
-                                     HybridVertexSet::FromVector(
-                                         m.covered, SetUniverse(), stats)));
-        }
+        node.tidset = RecomputeTidset(m.items);
+        cache_.Insert(m.items, std::make_shared<const HybridVertexSet>(
+                                   HybridVertexSet::FromVector(
+                                       m.covered, SetUniverse(), nullptr)));
         cls->siblings.push_back(std::move(node));
       }
       classes.push_back(std::move(cls));
@@ -471,9 +444,9 @@ class EngineRunner {
 
   /// The wave loop: drain the frontier until exhausted, cut, or error.
   Status Drive() {
-    if (budget_.deadline_ms != 0) {
+    if (env_.budget.deadline_ms != 0) {
       deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(budget_.deadline_ms);
+                  std::chrono::milliseconds(env_.budget.deadline_ms);
       token_.SetDeadline(deadline_);
     }
     auto last_snapshot = std::chrono::steady_clock::now();
@@ -493,23 +466,23 @@ class EngineRunner {
         return Status::OK();
       }
       RunWave();
-      if (progress_ || checkpoint_observer_) {
+      if (env_.progress || env_.checkpoint_observer) {
         EngineProgress p;
         p.evaluations = total_.counters.attribute_sets_evaluated;
         p.emitted = emitted_;
         p.patterns_emitted = patterns_emitted_;
         p.frontier_entries = frontier_.size();
-        if (progress_) progress_(p);
-        // Periodic durability snapshot: a cold checkpoint copy handed
+        if (env_.progress) env_.progress(p);
+        // Periodic durability snapshot: a checkpoint copy handed
         // out between waves, when the workers are parked and the
         // frontier is entry-consistent. Skipped when the walk just
         // finished — TakeRun() reports exhaustion instead.
-        if (checkpoint_observer_ && checkpoint_interval_ms_ != 0 &&
+        if (env_.checkpoint_observer && env_.checkpoint_interval_ms != 0 &&
             !(frontier_.empty() && !phase_roots_)) {
           const auto now = std::chrono::steady_clock::now();
           if (now - last_snapshot >=
-              std::chrono::milliseconds(checkpoint_interval_ms_)) {
-            checkpoint_observer_(BuildCheckpoint(/*hot=*/false), p);
+              std::chrono::milliseconds(env_.checkpoint_interval_ms)) {
+            env_.checkpoint_observer(BuildCheckpoint(), p);
             last_snapshot = std::chrono::steady_clock::now();
           }
         }
@@ -530,7 +503,7 @@ class EngineRunner {
     run.emitted = emitted_;
     run.patterns_emitted = patterns_emitted_;
     run.frontier_entries = frontier_.size();
-    if (!exhausted_) run.checkpoint = BuildCheckpoint(hot_checkpoints_);
+    if (!exhausted_) run.checkpoint = BuildCheckpoint();
     return run;
   }
 
@@ -553,7 +526,7 @@ class EngineRunner {
   /// token, so the remaining tasks unwind within a candidate's work each.
   void AwaitWave(ThreadPool::TaskGroup* group) {
     if (pool_ == nullptr) return;
-    if (budget_.deadline_ms != 0) {
+    if (env_.budget.deadline_ms != 0) {
       if (!pool_->WaitForUntil(group, deadline_)) {
         token_.RequestCancel();
         pool_->WaitFor(group);
@@ -611,10 +584,6 @@ class EngineRunner {
     return options_.use_hybrid_sets ? &bundle->set_ops : nullptr;
   }
 
-  /// Kernel-counter sink for driver-side seeding work (resume tidset
-  /// recomputation); folds into the engine totals like everything else.
-  SetOpStats* SeedSetStats() { return BundleSetStats(&total_); }
-
   void RecordError(Status status) {
     {
       std::lock_guard<std::mutex> lock(error_mutex_);
@@ -632,26 +601,27 @@ class EngineRunner {
   }
 
   bool BudgetHit() {
-    if (budget_.max_evaluations != 0 &&
-        total_.counters.attribute_sets_evaluated >= budget_.max_evaluations) {
+    const EngineBudget& budget = env_.budget;
+    if (budget.max_evaluations != 0 &&
+        total_.counters.attribute_sets_evaluated >= budget.max_evaluations) {
       return true;
     }
-    if (budget_.max_patterns != 0 &&
-        patterns_emitted_ >= budget_.max_patterns) {
+    if (budget.max_patterns != 0 && patterns_emitted_ >= budget.max_patterns) {
       return true;
     }
-    if (budget_.deadline_ms != 0 && token_.CheckNow()) return true;
+    if (budget.deadline_ms != 0 && token_.CheckNow()) return true;
     // An externally latched token (no deadline armed) must also cut,
     // or cancelled entries would re-queue forever.
     if (token_.cancelled()) return true;
     return false;
   }
 
-  /// Pops up to wave_ entries off the frontier's back, processes them in
-  /// parallel, and folds the survivors at the barrier (in wave order, so
-  /// every fold is deterministic). Cancelled entries go back whole.
+  /// Pops up to frontier_wave entries off the frontier's back, processes
+  /// them in parallel, and folds the survivors at the barrier (in wave
+  /// order, so every fold is deterministic). Cancelled entries go back
+  /// whole.
   void RunWave() {
-    const std::size_t n = std::min(frontier_.size(), wave_);
+    const std::size_t n = std::min(frontier_.size(), env_.frontier_wave);
     const std::size_t base = frontier_.size() - n;
     std::vector<FrontierEntry> entries(
         std::make_move_iterator(frontier_.begin() + base),
@@ -881,9 +851,9 @@ class EngineRunner {
     // evaluating; the evaluated/reported counters advance exactly as on
     // a cold evaluation (budget cut points do not move between hot and
     // cold runs), only the work counters shrink.
-    if (memo_ != nullptr) {
+    if (env_.memo != nullptr) {
       std::shared_ptr<const EvalMemo::Evaluation> hit =
-          memo_->Lookup(node.items);
+          env_.memo->Lookup(node.items);
       if (hit != nullptr) {
         ++bundle->memo_hits;
         if (hit->reported) {
@@ -1002,7 +972,7 @@ class EngineRunner {
       }
     }
     slot->extendable = extendable;
-    if (memo_ != nullptr) {
+    if (env_.memo != nullptr) {
       auto entry = std::make_shared<EvalMemo::Evaluation>();
       // The covered set is only consulted on a hit when the set is
       // extendable (children's Theorem-3 pruning); skip the copy
@@ -1011,7 +981,7 @@ class EngineRunner {
       entry->extendable = extendable;
       entry->reported = slot->reported;
       if (slot->reported) entry->output = slot->output;
-      memo_->Insert(node.items, std::move(entry));
+      env_.memo->Insert(node.items, std::move(entry));
     }
     if (extendable) {
       // Stored for the children's Theorem-3 intersection, so it goes in
@@ -1090,28 +1060,27 @@ class EngineRunner {
     }
   }
 
-  /// Recomputes V(S) from the graph's attribute index (resume path): the
-  /// elements are exactly the original lattice tidset, and the
-  /// representation is the same pure function of (size, universe).
-  HybridVertexSet RecomputeTidset(const AttributeSet& items,
-                                  SetOpStats* stats) {
+  /// Recomputes V(S) from the graph's attribute index (resume path),
+  /// uncounted: the elements are exactly the original lattice tidset, and
+  /// the representation is the same pure function of (size, universe).
+  HybridVertexSet RecomputeTidset(const AttributeSet& items) {
     HybridVertexSet t =
         HybridVertexSet::View(&graph_.VerticesWith(items[0]), SetUniverse());
     if (items.size() == 1) {
-      t.Normalize(stats);
+      t.Normalize(nullptr);
       return t;
     }
     for (std::size_t k = 1; k < items.size(); ++k) {
       HybridVertexSet next =
           HybridVertexSet::View(&graph_.VerticesWith(items[k]), SetUniverse());
       HybridVertexSet out;
-      HybridVertexSet::Intersect(t, next, &out, stats);
+      HybridVertexSet::Intersect(t, next, &out, nullptr);
       t = std::move(out);
     }
     return t;
   }
 
-  EngineCheckpoint BuildCheckpoint(bool hot) {
+  EngineCheckpoint BuildCheckpoint() {
     EngineCheckpoint cp;
     cp.num_vertices = graph_.NumVertices();
     cp.num_attributes = graph_.NumAttributes();
@@ -1126,12 +1095,7 @@ class EngineRunner {
         EngineCheckpoint::DoneRoot dr;
         dr.index = rs.index;
         dr.attr = rs.attr;
-        if (hot) {
-          dr.hot_covered = rs.slot.covered;
-          dr.hot_tidset = rs.slot.node.tidset;
-        } else {
-          dr.covered = rs.slot.covered->ToVector();
-        }
+        dr.covered = rs.slot.covered->ToVector();
         cp.done_roots.push_back(std::move(dr));
       }
       for (const FrontierEntry& entry : frontier_) {
@@ -1158,12 +1122,7 @@ class EngineRunner {
           CoveredSetCache::Entry covered = cache_.Lookup(node.items);
           SCPM_CHECK(covered != nullptr)
               << "class member covered set missing at checkpoint";
-          if (hot) {
-            member.hot_covered = std::move(covered);
-            member.hot_tidset = node.tidset;
-          } else {
-            member.covered = covered->ToVector();
-          }
+          member.covered = covered->ToVector();
           pc.members.push_back(std::move(member));
         }
         cp.classes.push_back(std::move(pc));
@@ -1178,16 +1137,9 @@ class EngineRunner {
 
   const AttributedGraph& graph_;
   const ScpmOptions& options_;
-  const EngineBudget budget_;
-  const std::size_t wave_;
   ExpectationModel* null_model_;
+  const EngineEnvironment& env_;
   PatternSink* sink_;
-  const std::function<void(const EngineProgress&)>& progress_;
-  const std::uint64_t checkpoint_interval_ms_;
-  const std::function<void(const EngineCheckpoint&, const EngineProgress&)>&
-      checkpoint_observer_;
-  EvalMemo* memo_;
-  const bool hot_checkpoints_;
 
   // Shared by every worker's miner; must outlive owned_pool_ (declared
   // later, destroyed first) because draining tasks may still release
@@ -1266,10 +1218,7 @@ Result<MiningRun> ScpmEngine::Run(const AttributedGraph& graph,
   if (sink == nullptr) {
     return Status::InvalidArgument("sink must not be null");
   }
-  EngineRunner runner(graph, options_, budget_, frontier_wave_, null_model_,
-                      sink, progress_, checkpoint_interval_ms_,
-                      checkpoint_observer_, shared_pool_, shared_intra_budget_,
-                      memo_, cancel_, hot_checkpoints_);
+  EngineRunner runner(graph, options_, null_model_, env_, sink);
   runner.SeedFresh();
   SCPM_RETURN_IF_ERROR(runner.Drive());
   return runner.TakeRun();
@@ -1282,10 +1231,7 @@ Result<MiningRun> ScpmEngine::Resume(const AttributedGraph& graph,
   if (sink == nullptr) {
     return Status::InvalidArgument("sink must not be null");
   }
-  EngineRunner runner(graph, options_, budget_, frontier_wave_, null_model_,
-                      sink, progress_, checkpoint_interval_ms_,
-                      checkpoint_observer_, shared_pool_, shared_intra_budget_,
-                      memo_, cancel_, hot_checkpoints_);
+  EngineRunner runner(graph, options_, null_model_, env_, sink);
   SCPM_RETURN_IF_ERROR(runner.SeedFromCheckpoint(checkpoint));
   SCPM_RETURN_IF_ERROR(runner.Drive());
   return runner.TakeRun();

@@ -26,17 +26,19 @@
 //    twice.
 //  * Checkpoint / resume — a cut run serializes the remaining frontier
 //    (pending entries, their classes' attribute sets, and the Theorem-3
-//    covered sets children still need). Resume(checkpoint) recomputes the
-//    cheap derived state (tidsets) and continues; the union of emissions
-//    across the cut run and its resumes equals an uncut run's output
-//    exactly.
+//    covered sets children still need). Resume(checkpoint) validates it,
+//    recomputes the cheap derived state (tidsets) and continues; the
+//    union of emissions across the cut run and its resumes equals an
+//    uncut run's output exactly.
 //
 // Determinism contract: with no budget, the engine's output through an
-// AccumulatingSink is byte-identical — rows, patterns, and the lattice
-// counters (see ScpmCounters) — to the pre-engine recursive miner, for
-// any thread count and any frontier wave size. Traversal order changes
-// (root batches start heaviest first); the keyed emission order and the
-// per-evaluation arithmetic do not.
+// AccumulatingSink — rows, patterns, and the lattice and set-kernel
+// counters (see ScpmCounters) — is byte-identical for any thread count
+// and any frontier wave size. Traversal order changes (root batches
+// start heaviest first); the keyed emission order and the per-evaluation
+// arithmetic do not. Every resume seeds uncounted, so those counters
+// summed over a cut-and-resume chain also equal the uncut run's, whether
+// the chain resumed in-process, from disk, or after a crash.
 
 #ifndef SCPM_CORE_ENGINE_H_
 #define SCPM_CORE_ENGINE_H_
@@ -53,7 +55,6 @@
 #include "graph/attributed_graph.h"
 #include "graph/types.h"
 #include "util/cancel.h"
-#include "util/hybrid_set.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -132,15 +133,6 @@ class EngineCheckpoint {
   struct Member {
     AttributeSet items;
     VertexSet covered;  // K_S, for the children's Theorem-3 pruning
-    // In-memory fast path (hot checkpoints): the live sets carried
-    // across same-process segments so resume skips re-validation,
-    // re-normalization, and tidset recomputation — required for sliced
-    // runs to keep byte-identical set-kernel counters, not just identical
-    // output. Never serialized; Save() falls back to the cold form.
-    // hot_tidset may borrow graph-owned storage, so a hot checkpoint
-    // only resumes against the same live graph object.
-    std::shared_ptr<const HybridVertexSet> hot_covered;
-    HybridVertexSet hot_tidset;
   };
   /// An equivalence class with at least one unexpanded member.
   struct PendingClass {
@@ -164,9 +156,6 @@ class EngineCheckpoint {
     std::uint32_t index = 0;
     AttributeId attr = 0;
     VertexSet covered;
-    // Hot fast path; see Member.
-    std::shared_ptr<const HybridVertexSet> hot_covered;
-    HybridVertexSet hot_tidset;
   };
 
   bool empty() const {
@@ -228,6 +217,23 @@ struct EngineProgress {
   std::size_t frontier_entries = 0;
 };
 
+/// Everything a Run/Resume takes from its caller besides the graph, the
+/// options, the null model, and the sink. ScpmEngine owns one and each
+/// Run/Resume borrows it for the segment's duration; the setters below
+/// are the way to fill it. Pointers are borrowed and may be null.
+struct EngineEnvironment {
+  EngineBudget budget;
+  std::size_t frontier_wave = 16;
+  std::function<void(const EngineProgress&)> progress;
+  std::uint64_t checkpoint_interval_ms = 0;
+  std::function<void(const EngineCheckpoint&, const EngineProgress&)>
+      checkpoint_observer;
+  ThreadPool* shared_pool = nullptr;
+  ParallelismBudget* shared_intra_budget = nullptr;
+  EvalMemo* memo = nullptr;
+  CancelToken* cancel = nullptr;
+};
+
 /// The engine. Stateless between calls apart from configuration; each
 /// Run/Resume builds its own pool, worker states, and frontier. The
 /// optional null model is borrowed and must be the same (semantically)
@@ -241,27 +247,25 @@ class ScpmEngine {
 
   const ScpmOptions& options() const { return options_; }
 
-  void set_budget(EngineBudget budget) { budget_ = budget; }
-  const EngineBudget& budget() const { return budget_; }
+  void set_budget(EngineBudget budget) { env_.budget = budget; }
 
   /// Entries drained per frontier wave. Budget checks happen between
   /// waves, so this is the cut granularity; it never affects what an
   /// uncut run mines. Thread-count independent by default on purpose.
   void set_frontier_wave(std::size_t wave) {
-    frontier_wave_ = wave == 0 ? 1 : wave;
+    env_.frontier_wave = wave == 0 ? 1 : wave;
   }
 
   /// Observer invoked at every wave boundary (from the driving thread).
   void set_progress(std::function<void(const EngineProgress&)> progress) {
-    progress_ = std::move(progress);
+    env_.progress = std::move(progress);
   }
 
   /// Periodic durability observer: at the first wave boundary at least
   /// `interval_ms` after the previous snapshot (and after Run/Resume
-  /// entry), the observer receives a cold — serializable — checkpoint
-  /// of the remaining frontier plus the segment's progress so far, then
-  /// the run continues. The snapshot is a copy; hot checkpoints never
-  /// leak into it, so it may outlive the run and the process. The
+  /// entry), the observer receives a checkpoint of the remaining frontier
+  /// plus the segment's progress so far, then the run continues. The
+  /// snapshot is a copy, so it may outlive the run and the process. The
   /// observer runs on the driving thread between waves (workers are
   /// parked), so it may do I/O without racing the engine. interval_ms
   /// == 0 or a null observer disables periodic snapshots; neither
@@ -270,8 +274,8 @@ class ScpmEngine {
       std::uint64_t interval_ms,
       std::function<void(const EngineCheckpoint&, const EngineProgress&)>
           observer) {
-    checkpoint_interval_ms_ = interval_ms;
-    checkpoint_observer_ = std::move(observer);
+    env_.checkpoint_interval_ms = interval_ms;
+    env_.checkpoint_observer = std::move(observer);
   }
 
   /// Runs waves on a caller-owned pool instead of building one per
@@ -283,35 +287,24 @@ class ScpmEngine {
   /// byte-identical. This is what lets one resident server multiplex
   /// many concurrent engine runs over one set of worker threads.
   void set_shared_pool(ThreadPool* pool, ParallelismBudget* intra_budget) {
-    shared_pool_ = pool;
-    shared_intra_budget_ = intra_budget;
+    env_.shared_pool = pool;
+    env_.shared_intra_budget = intra_budget;
   }
 
   /// Attaches a cross-run evaluation memo (borrowed; may be nullptr).
   /// The caller must guarantee the memo only serves values recorded
   /// under this engine's graph and OptionsFingerprint.
-  void set_eval_memo(EvalMemo* memo) { memo_ = memo; }
+  void set_eval_memo(EvalMemo* memo) { env_.memo = memo; }
 
   /// Borrows an external cancel token for the next Run/Resume (nullptr
   /// reverts to a per-run internal token). RequestCancel() from any
   /// thread cuts the run at the next wave boundary exactly like a
   /// deadline: in-flight entries are discarded whole and re-queued, the
   /// run returns exhausted=false with a valid checkpoint, and nothing is
-  /// ever emitted twice. The engine arms budget().deadline_ms on this
+  /// ever emitted twice. The engine arms budget.deadline_ms on this
   /// token before the first wave; the caller must only RequestCancel,
   /// never SetDeadline. One token serves one run at a time.
-  void set_cancel_token(CancelToken* token) { cancel_ = token; }
-
-  /// Hot checkpoints: a budget-cut run's EngineCheckpoint additionally
-  /// carries the live covered/tidset hybrid sets (Member::hot_covered
-  /// etc.), and Resume() seeds from them directly instead of rebuilding
-  /// from the cold vectors. This skips the resume-side validation,
-  /// normalization, and tidset recomputation entirely, so a run chopped
-  /// into N same-process segments reports byte-identical summed work
-  /// counters to an uncut run. Hot checkpoints are memory-only: they
-  /// must resume in the same process against the same graph object
-  /// (Save() materializes the cold form for anything else).
-  void set_hot_checkpoints(bool on) { hot_checkpoints_ = on; }
+  void set_cancel_token(CancelToken* token) { env_.cancel = token; }
 
   /// Walks the whole lattice (or up to the budget), emitting every
   /// reported attribute set into `sink`.
@@ -319,7 +312,9 @@ class ScpmEngine {
 
   /// Continues a cut run. The checkpoint must have been produced against
   /// the same graph and output-relevant options. Emits only sets not yet
-  /// emitted by earlier segments.
+  /// emitted by earlier segments. Seeding validates every set and
+  /// rebuilds the tidsets without counting that work, so the segments'
+  /// summed counters match an uncut run's.
   Result<MiningRun> Resume(const AttributedGraph& graph,
                            const EngineCheckpoint& checkpoint,
                            PatternSink* sink);
@@ -334,17 +329,7 @@ class ScpmEngine {
  private:
   ScpmOptions options_;
   ExpectationModel* null_model_;
-  EngineBudget budget_;
-  std::size_t frontier_wave_ = 16;
-  std::function<void(const EngineProgress&)> progress_;
-  std::uint64_t checkpoint_interval_ms_ = 0;
-  std::function<void(const EngineCheckpoint&, const EngineProgress&)>
-      checkpoint_observer_;
-  ThreadPool* shared_pool_ = nullptr;
-  ParallelismBudget* shared_intra_budget_ = nullptr;
-  EvalMemo* memo_ = nullptr;
-  CancelToken* cancel_ = nullptr;
-  bool hot_checkpoints_ = false;
+  EngineEnvironment env_;
 };
 
 }  // namespace scpm

@@ -53,7 +53,7 @@ struct MiningRequest {
   std::size_t sink_k = 10;
 
   /// Periodic durability: with both set, the engine hands `on_checkpoint`
-  /// a cold (serializable) snapshot of the remaining frontier at wave
+  /// a serializable snapshot of the remaining frontier at wave
   /// boundaries at least `checkpoint_interval_ms` apart, while the run
   /// continues. This is the auto-checkpoint hook the CLI and the query
   /// server build crash recovery on; it never changes what is mined.

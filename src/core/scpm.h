@@ -78,8 +78,10 @@ struct ScpmOptions {
   /// Worker threads for the enumeration. Attribute-set evaluations and
   /// subtree expansions at every lattice level become tasks on a
   /// work-stealing pool, so one heavy attribute subtree no longer
-  /// serializes the run. Output (attribute sets, patterns, and counters)
-  /// is byte-identical to the sequential order for any thread count.
+  /// serializes the run. Output (attribute sets, patterns, and the
+  /// lattice and set-kernel counters) is byte-identical to the sequential
+  /// order for any thread count; the quasi-clique work counters are not
+  /// (see ScpmCounters).
   /// Requires a thread-safe null model (both bundled models are).
   std::size_t num_threads = 1;
 

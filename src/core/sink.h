@@ -64,7 +64,7 @@ class PatternSink {
 };
 
 /// Default sink: buffers every emission and reassembles the classic
-/// ScpmResult, byte-identical to the pre-engine recursive miner for any
+/// ScpmResult in sequential enumeration order, byte-identical for any
 /// thread count (key sort = sequential emission order, then the global
 /// pattern ranking).
 class AccumulatingSink : public PatternSink {

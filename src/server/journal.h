@@ -10,7 +10,7 @@
 //                   ParseQuerySpec), one "progress" per persisted
 //                   snapshot (cumulative emission counters), one
 //                   "terminal" when a query finishes.
-//   q<id>.ckpt      the latest cold EngineCheckpoint of query <id>,
+//   q<id>.ckpt      the latest EngineCheckpoint of query <id>,
 //                   replaced atomically (write temp + fsync + rename +
 //                   directory fsync), so the file is always a complete
 //                   snapshot — torn writes can only lose the *newest*
@@ -118,7 +118,7 @@ class StateStore {
                         std::uint64_t jsonl_lines);
   Status AppendTerminal(std::uint64_t id, const char* state);
 
-  /// Atomically replaces query `id`'s checkpoint file with `cp`'s cold
+  /// Atomically replaces query `id`'s checkpoint file with `cp`'s
   /// serialization plus a meta header carrying the cumulative emission
   /// counters at the snapshot (the pair must be atomic: a journal line
   /// cannot be transactional with a separate file, a header in the

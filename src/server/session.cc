@@ -496,9 +496,8 @@ bool QuerySession::ExecuteSlice(ThreadPool* pool,
   engine.set_budget(slice_budget);
   engine.set_shared_pool(pool, intra_budget);
   engine.set_eval_memo(memo);
-  engine.set_hot_checkpoints(true);
   if (store_ != nullptr && persist_interval_ms_ != 0) {
-    // Periodic durability: the engine hands out cold snapshots between
+    // Periodic durability: the engine hands out checkpoint copies between
     // waves on this (driver) thread, so cum_/sinks_ access is safe.
     // Counters are cumulative across segments and crashes; write
     // failures are counted by the store and never fail the query.

@@ -12,19 +12,19 @@
 // Preemption model: the server drives a query as a chain of budgeted
 // segments. Each ExecuteSlice() call runs ScpmEngine::Run/Resume with
 // a per-slice budget derived from the slice policy and the remaining
-// query budget, keeps the hot EngineCheckpoint in memory on a cut, and
+// query budget, keeps the EngineCheckpoint in memory on a cut, and
 // returns whether the session reached a terminal state; the server
 // re-enqueues non-terminal sessions round-robin. The request's sinks
 // live in the session across slices, so streaming output survives
 // suspension with no duplicate or lost finalized sets.
 //
-// Determinism contract: because Resume() reproduces the exact uncut
-// union and hot checkpoints skip the cold-resume set rebuilding, a
-// query sliced into N segments reports rows, patterns, AND summed lattice
-// counters byte-identical to a direct ScpmMiner::Mine with the same
-// options — for any slice size and thread count (memo detached; a memo
-// adds cross-segment replay that legitimately shrinks work counters).
-// The quasi-clique work counters depend on pool scheduling (see
+// Determinism contract: Resume() reproduces the exact uncut union and
+// every resume seeds uncounted, so a query sliced into N segments
+// reports rows, patterns, AND summed lattice and set-kernel counters
+// byte-identical to a direct ScpmMiner::Mine with the same options —
+// for any slice size and thread count (memo detached; a memo adds
+// cross-segment replay that legitimately shrinks work counters). The
+// quasi-clique work counters depend on pool scheduling (see
 // ScpmCounters).
 //
 // Thread safety: Cancel() and Describe() may race ExecuteSlice() and

@@ -62,10 +62,23 @@ AttributedGraph RandomAttributed(int seed, VertexId n = 24,
   return std::move(g).value();
 }
 
+/// The lattice and set-kernel counters: a function of the input and the
+/// options alone, so equal for any thread count and, summed over the
+/// segments, for any cut-and-resume chain. The quasi-clique work
+/// counters are not (see ExpectSameWork).
+void ExpectSameCounters(const ScpmCounters& a, const ScpmCounters& b) {
+  EXPECT_EQ(a.attribute_sets_evaluated, b.attribute_sets_evaluated);
+  EXPECT_EQ(a.attribute_sets_reported, b.attribute_sets_reported);
+  EXPECT_EQ(a.attribute_sets_extended, b.attribute_sets_extended);
+  EXPECT_EQ(a.evaluation_batches, b.evaluation_batches);
+  EXPECT_EQ(a.intra_search_evaluations, b.intra_search_evaluations);
+  EXPECT_EQ(a.bitmap_intersections, b.bitmap_intersections);
+  EXPECT_EQ(a.galloping_intersections, b.galloping_intersections);
+  EXPECT_EQ(a.dense_conversions, b.dense_conversions);
+}
+
 /// Field-by-field equality of complete mining outputs plus the lattice
-/// and set-kernel counters (mirrors scpm_test.cc's harness). These hold
-/// for any thread count; the quasi-clique work counters do not (see
-/// ExpectSameWork).
+/// and set-kernel counters (mirrors scpm_test.cc's harness).
 void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   ASSERT_EQ(a.attribute_sets.size(), b.attribute_sets.size());
   for (std::size_t i = 0; i < a.attribute_sets.size(); ++i) {
@@ -86,19 +99,7 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
                      b.patterns[i].min_degree_ratio);
     EXPECT_DOUBLE_EQ(a.patterns[i].edge_density, b.patterns[i].edge_density);
   }
-  EXPECT_EQ(a.counters.attribute_sets_evaluated,
-            b.counters.attribute_sets_evaluated);
-  EXPECT_EQ(a.counters.attribute_sets_reported,
-            b.counters.attribute_sets_reported);
-  EXPECT_EQ(a.counters.attribute_sets_extended,
-            b.counters.attribute_sets_extended);
-  EXPECT_EQ(a.counters.evaluation_batches, b.counters.evaluation_batches);
-  EXPECT_EQ(a.counters.intra_search_evaluations,
-            b.counters.intra_search_evaluations);
-  EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
-  EXPECT_EQ(a.counters.galloping_intersections,
-            b.counters.galloping_intersections);
-  EXPECT_EQ(a.counters.dense_conversions, b.counters.dense_conversions);
+  ExpectSameCounters(a.counters, b.counters);
 }
 
 /// The quasi-clique work counters: exact per run, but with a pool they
@@ -181,8 +182,9 @@ void SortCanonical(ScpmResult* result) {
 }
 
 /// Runs budget-cut segments (Run, then Resume until exhausted, each
-/// segment round-tripping the checkpoint through its text serialization)
-/// and returns the union of everything emitted plus the segment count.
+/// segment round-tripping the checkpoint through its serialization) and
+/// returns the union of everything emitted, with the segments' summed
+/// counters, plus the segment count.
 std::pair<ScpmResult, int> RunSegmented(const AttributedGraph& g,
                                         const ScpmOptions& options,
                                         const EngineBudget& budget,
@@ -204,6 +206,7 @@ std::pair<ScpmResult, int> RunSegmented(const AttributedGraph& g,
     if (!run.ok()) break;
     ScpmResult segment = sink.TakeResult();
     EXPECT_EQ(segment.attribute_sets.size(), run->emitted);
+    united.counters.MergeFrom(run->counters);
     for (auto& s : segment.attribute_sets) {
       united.attribute_sets.push_back(std::move(s));
     }
@@ -260,6 +263,7 @@ TEST(CheckpointResumeTest, EvalBudgetUnionEqualsUncutOnPaperExample) {
   budget.max_evaluations = 2;
   auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/1);
   EXPECT_GE(segments, 2) << "budget never cut the run";
+  ExpectSameCounters(uncut.counters, united.counters);
   ExpectSameUnion(uncut, std::move(united));
 }
 
@@ -293,6 +297,7 @@ TEST(CheckpointResumeTest, RootsPhaseCheckpointRoundTrips) {
 
   auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/2);
   EXPECT_GT(segments, 2);
+  ExpectSameCounters(uncut.counters, united.counters);
   ExpectSameUnion(uncut, std::move(united));
 }
 
@@ -365,7 +370,9 @@ TEST(RootOrderTest, RootsPhaseCutEvaluatesHeaviestSingletonsFirst) {
   budget.max_evaluations = kCut;
   auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/1);
   EXPECT_GT(segments, 1);
-  ExpectSameUnion(EngineAccumulate(g, options), std::move(united));
+  const ScpmResult uncut = EngineAccumulate(g, options);
+  ExpectSameCounters(uncut.counters, united.counters);
+  ExpectSameUnion(uncut, std::move(united));
 }
 
 /// A roots-phase checkpoint whose pending batches are in attribute order
@@ -427,6 +434,7 @@ TEST_P(ResumeSweep, UnionEqualsUncutOnRandomGraphs) {
       auto [united, segments] =
           RunSegmented(g, cell, budget, /*wave=*/3, &model);
       EXPECT_GE(segments, 2) << "budget never cut the run";
+      ExpectSameCounters(uncut.counters, united.counters);
       ExpectSameUnion(uncut, std::move(united));
     }
   }
@@ -450,6 +458,7 @@ TEST(CheckpointResumeTest, PatternBudgetCutsAndResumes) {
   budget.max_patterns = 2;
   auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/1);
   EXPECT_GE(segments, 2);
+  ExpectSameCounters(uncut.counters, united.counters);
   ExpectSameUnion(uncut, std::move(united));
 }
 
@@ -475,6 +484,7 @@ TEST(CheckpointResumeTest, ResumeAcrossHybridToggle) {
   budget.max_evaluations = 3;
   auto [united_off, segments_off] = RunSegmented(g, off, budget, /*wave=*/2);
   EXPECT_GE(segments_off, 2);
+  ExpectSameCounters(EngineAccumulate(g, off).counters, united_off.counters);
   ExpectSameUnion(uncut, std::move(united_off));
 
   // Cut with hybrid on, resume everything with hybrid off.
@@ -499,6 +509,34 @@ TEST(CheckpointResumeTest, ResumeAcrossHybridToggle) {
   for (auto& p : tail.patterns) united.patterns.push_back(std::move(p));
   SortCanonical(&united);
   ExpectSameUnion(uncut, std::move(united));
+}
+
+/// A chain whose resumed sets are dense: with 96 vertices and tidsets
+/// around half of them, the roots' tidsets and the carried covered sets
+/// are bitmaps, so counting their rebuild on resume would add dense
+/// conversions. Every resume seeds uncounted, so the summed counters
+/// still equal the uncut run's, for cuts in both phases.
+TEST(CheckpointResumeTest, DenseResumeChainCountersMatchUncut) {
+  const AttributedGraph g = RandomAttributed(23, /*n=*/96, /*num_attrs=*/6,
+                                             /*edge_p=*/0.15, /*attr_p=*/0.5);
+  ScpmOptions options;
+  options.quasi_clique.gamma = 0.5;
+  options.quasi_clique.min_size = 3;
+  options.min_support = 5;
+  options.min_epsilon = 0.0;
+  options.top_k = 2;
+  options.eval_batch_grain = 0;
+  const ScpmResult uncut = EngineAccumulate(g, options);
+  ASSERT_GT(uncut.counters.dense_conversions, 0u);
+
+  for (std::uint64_t max_evals : {1u, 4u}) {
+    EngineBudget budget;
+    budget.max_evaluations = max_evals;
+    auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/2);
+    EXPECT_GT(segments, 2);
+    ExpectSameCounters(uncut.counters, united.counters);
+    ExpectSameUnion(uncut, std::move(united));
+  }
 }
 
 /// A deadline cut behaves like any other cut: whatever was emitted plus

@@ -98,8 +98,8 @@ void ExpectIdenticalRows(const ScpmResult& a, const ScpmResult& b) {
 }
 
 /// Output plus the lattice and set-kernel counters. The slicing pin: a
-/// run cut into N hot-checkpoint segments must sum to exactly the uncut
-/// run's counters. The quasi-clique work counters are left out: a
+/// run cut into N segments must sum to exactly the uncut run's counters,
+/// because every resume seeds uncounted. The quasi-clique work counters are left out: a
 /// session runs on the server's pool, where they depend on scheduling.
 void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
   ExpectIdenticalRows(a, b);
