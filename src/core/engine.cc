@@ -194,6 +194,29 @@ struct EntryCtx {
   std::atomic<bool> cancelled{false};
 };
 
+/// Greedy pack of `count` consecutive items into index ranges: items
+/// share a range until their tidset sizes (`size_of(i)`, at least 1
+/// each) reach `grain`; grain 0 gives one item per range. A pure function
+/// of the sizes, so the launch plan — and every counter it feeds — is
+/// identical for every thread count.
+template <typename SizeOf>
+std::vector<std::pair<std::size_t, std::size_t>> PackBySize(
+    std::size_t count, std::size_t grain, SizeOf size_of) {
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  std::size_t begin = 0;
+  std::size_t weight = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    weight += std::max<std::size_t>(1, size_of(i));
+    if (grain == 0 || weight >= grain) {
+      ranges.emplace_back(begin, i + 1);
+      begin = i + 1;
+      weight = 0;
+    }
+  }
+  if (begin < count) ranges.emplace_back(begin, count);
+  return ranges;
+}
+
 /// One Run/Resume segment: owns the frontier, the pool, the caches, and
 /// the wave loop.
 class EngineRunner {
@@ -252,19 +275,13 @@ class EngineRunner {
     }
     // Batch by tidset mass exactly like child evaluations, one frontier
     // entry per batch.
-    const std::size_t grain = options_.eval_batch_grain;
-    std::size_t begin = 0;
-    std::size_t weight = 0;
-    for (std::size_t s = 0; s < singles_.size(); ++s) {
-      weight += std::max<std::size_t>(
-          1, graph_.VerticesWith(singles_[s].attr).size());
-      if (grain == 0 || weight >= grain) {
-        PushRootEntry(begin, s + 1);
-        begin = s + 1;
-        weight = 0;
-      }
+    for (const auto& [begin, end] :
+         PackBySize(singles_.size(), options_.eval_batch_grain,
+                    [this](std::size_t s) {
+                      return graph_.VerticesWith(singles_[s].attr).size();
+                    })) {
+      PushRootEntry(begin, end);
     }
-    if (begin < singles_.size()) PushRootEntry(begin, singles_.size());
     OrderRootsLargestFirst();
   }
 
@@ -729,7 +746,9 @@ class EngineRunner {
     }
     if (slots.empty()) return;
 
-    const auto ranges = BatchRanges(slots);
+    const auto ranges = PackBySize(
+        slots.size(), options_.eval_batch_grain,
+        [&slots](std::size_t s) { return slots[s].node.tidset.size(); });
     result->bundle.counters.evaluation_batches += ranges.size();
     std::vector<CounterBundle> batch_bundles(ranges.size());
     ThreadPool::TaskGroup evals;
@@ -800,29 +819,6 @@ class EngineRunner {
     ++result->emitted;
     result->patterns_emitted += patterns;
     return true;
-  }
-
-  /// Greedy pack of evaluation slots into per-task index ranges:
-  /// consecutive slots share a task until their tidset sizes reach
-  /// eval_batch_grain. A pure function of the slot sizes, so the launch
-  /// plan — and every counter it feeds — is identical for every thread
-  /// count.
-  std::vector<std::pair<std::size_t, std::size_t>> BatchRanges(
-      const std::vector<EvalSlot>& slots) const {
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    const std::size_t grain = options_.eval_batch_grain;
-    std::size_t begin = 0;
-    std::size_t weight = 0;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      weight += std::max<std::size_t>(1, slots[s].node.tidset.size());
-      if (grain == 0 || weight >= grain) {
-        ranges.emplace_back(begin, s + 1);
-        begin = s + 1;
-        weight = 0;
-      }
-    }
-    if (begin < slots.size()) ranges.emplace_back(begin, slots.size());
-    return ranges;
   }
 
   /// Computes K_S / eps / delta for a node, records it (and its patterns)

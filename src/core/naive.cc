@@ -32,23 +32,10 @@ Result<ScpmResult> NaiveMiner::Mine(const AttributedGraph& graph) {
         InducedSubgraph::Create(graph.graph(), itemset.tidset);
     if (!sub.ok()) return sub.status();
     std::vector<bool> covered(sub->NumVertices(), false);
-    std::vector<VertexSet> cliques;
-    if (options_.collect_patterns) {
-      Result<std::vector<VertexSet>> maximal = miner.MineMaximal(sub->graph());
-      if (!maximal.ok()) return maximal.status();
-      cliques = std::move(maximal).value();
-      for (const VertexSet& q : cliques) {
-        for (VertexId v : q) covered[v] = true;
-      }
-    } else {
-      // Coverage only: the union over all reported sets equals the
-      // union over the maximal ones, so stream them as found instead of
-      // materializing the maximal list.
-      Status streamed = miner.MineMaximalInto(
-          sub->graph(), [&covered](const VertexSet& q) {
-            for (VertexId v : q) covered[v] = true;
-          });
-      if (!streamed.ok()) return streamed;
+    Result<std::vector<VertexSet>> maximal = miner.MineMaximal(sub->graph());
+    if (!maximal.ok()) return maximal.status();
+    for (const VertexSet& q : *maximal) {
+      for (VertexId v : q) covered[v] = true;
     }
     result.counters.coverage_candidates +=
         miner.stats().candidates_processed;
@@ -79,8 +66,8 @@ Result<ScpmResult> NaiveMiner::Mine(const AttributedGraph& graph) {
     if (options_.collect_patterns && covered_count > 0) {
       // Select the top-k patterns after the fact from the complete set.
       std::vector<StructuralCorrelationPattern> local;
-      local.reserve(cliques.size());
-      for (const VertexSet& q : cliques) {
+      local.reserve(maximal->size());
+      for (const VertexSet& q : *maximal) {
         StructuralCorrelationPattern pattern;
         pattern.attributes = itemset.items;
         pattern.min_degree_ratio = MinDegreeRatio(sub->graph(), q);

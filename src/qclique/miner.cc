@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "graph/subgraph.h"
@@ -244,231 +245,51 @@ void BuildChildren(const Candidate& cand, const VertexSet& ext,
   }
 }
 
-/// Shared search over one (already vertex-reduced) local graph.
-class Search {
- public:
-  Search(const Graph& graph, const QuasiCliqueMinerOptions& options,
-         Mode mode, std::size_t k, MinerStats* stats)
-      : graph_(graph),
-        options_(options),
-        mode_(mode),
-        stats_(stats),
-        scratch_(graph),
-        covered_(graph.NumVertices(), false),
-        collector_(k == 0 ? 1 : k),
-        marker_(graph) {}
-
-  /// Borrowed cancellation token, polled once per candidate; a latched
-  /// token makes Run return StatusCode::kCancelled.
-  void set_cancel(CancelToken* cancel) { cancel_ = cancel; }
-
-  Status Run() {
-    const VertexId n = graph_.NumVertices();
-    if (n < options_.params.min_size) return Status::OK();
-
-    Candidate root;
-    root.ext.resize(n);
-    for (VertexId v = 0; v < n; ++v) root.ext[v] = v;
-    std::deque<Candidate> work;
-    work.push_back(std::move(root));
-
-    while (!work.empty()) {
-      if (cancel_ != nullptr && cancel_->ShouldStop(&cancel_tick_)) {
-        return Status::Cancelled("quasi-clique search cancelled");
-      }
-      Candidate cand;
-      if (options_.order == SearchOrder::kBfs) {
-        cand = std::move(work.front());
-        work.pop_front();
-      } else {
-        cand = std::move(work.back());
-        work.pop_back();
-      }
-      ++stats_->candidates_processed;
-      if (options_.max_candidates != 0 &&
-          stats_->candidates_processed > options_.max_candidates) {
-        return Status::OutOfRange("candidate budget exceeded");
-      }
-
-      if (mode_ == Mode::kCoverage) {
-        if (covered_count_ == n) break;  // Everything already covered.
-        if (AllCovered(cand)) {
-          ++stats_->pruned_by_coverage;
-          continue;
-        }
-      }
-
-      // The paper §3.2.3: once k patterns are known, candidates that
-      // cannot reach the k-th size are pruned; the raised size also
-      // strengthens every degree bound inside Analyze.
-      QuasiCliqueParams params = options_.params;
-      if (mode_ == Mode::kTopK && collector_.Full()) {
-        const std::size_t kth = collector_.KthSize();
-        if (cand.x.size() + cand.ext.size() < kth) {
-          ++stats_->pruned_by_topk;
-          continue;
-        }
-        params.min_size = std::max<std::uint32_t>(
-            params.min_size, static_cast<std::uint32_t>(kth));
-      }
-
-      CandidateAnalysis analysis =
-          scratch_.Analyze(cand, params, options_.enable_size_bound,
-                           options_.enable_lookahead,
-                           options_.enable_critical_vertex);
-      if (analysis.verdict == CandidateVerdict::kPrune) {
-        ++stats_->pruned_by_analysis;
-        continue;
-      }
-      if (analysis.verdict == CandidateVerdict::kLookahead) {
-        ++stats_->lookahead_hits;
-        VertexSet whole;
-        SortedUnion(cand.x, analysis.pruned_ext, &whole);
-        Report(std::move(whole));
-        continue;
-      }
-      if (!analysis.forced.empty()) {
-        // Critical vertex: every satisfying set of this subtree contains
-        // the forced vertices, so jump straight to that candidate.
-        ++stats_->critical_vertex_jumps;
-        Candidate jump;
-        SortedUnion(cand.x, analysis.forced, &jump.x);
-        SortedDifference(analysis.pruned_ext, analysis.forced, &jump.ext);
-        work.push_back(std::move(jump));
-        continue;
-      }
-      if (analysis.x_is_satisfying) Report(cand.x);
-
-      ExpandChildren(cand, analysis.pruned_ext, &work);
-    }
-    return Status::OK();
-  }
-
-  std::vector<VertexSet> TakeMaximal() {
-    std::vector<VertexSet> keep = maximal_.TakeSorted();
-    stats_->sets_reported = keep.size();
-    return keep;
-  }
-
-  VertexSet TakeCoverage() const {
-    VertexSet out;
-    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      if (covered_[v]) out.push_back(v);
-    }
-    return out;
-  }
-
-  std::vector<RankedQuasiClique> TakeTopK() { return collector_.Finalize(); }
-
-  /// Emit-as-found bypass (kMaximal only): reported sets stream to the
-  /// callback instead of the antichain; sets_reported counts raw
-  /// reports. See QuasiCliqueMiner::MineMaximalInto.
-  void set_emit(const std::function<void(const VertexSet&)>* emit) {
-    emit_ = emit;
-  }
-
- private:
-  bool AllCovered(const Candidate& cand) const {
-    for (VertexId v : cand.x) {
-      if (!covered_[v]) return false;
-    }
-    for (VertexId v : cand.ext) {
-      if (!covered_[v]) return false;
-    }
-    return true;
-  }
-
-  void Report(VertexSet q) {
-    switch (mode_) {
-      case Mode::kMaximal:
-        if (emit_ != nullptr) {
-          ++stats_->sets_reported;
-          (*emit_)(q);
-        } else {
-          maximal_.Offer(std::move(q));
-        }
-        break;
-      case Mode::kCoverage:
-        for (VertexId v : q) {
-          if (!covered_[v]) {
-            covered_[v] = true;
-            ++covered_count_;
-          }
-        }
-        break;
-      case Mode::kTopK: {
-        RankedQuasiClique entry;
-        entry.min_degree_ratio = MinDegreeRatio(graph_, q);
-        entry.vertices = std::move(q);
-        collector_.Offer(std::move(entry));
-        break;
-      }
-    }
-  }
-
-  void ExpandChildren(const Candidate& cand, const VertexSet& ext,
-                      std::deque<Candidate>* work) {
-    std::vector<Candidate> children;
-    BuildChildren(cand, ext, options_, &marker_, &children);
-    if (options_.order == SearchOrder::kBfs) {
-      for (auto& c : children) work->push_back(std::move(c));
-    } else {
-      // Stack: push in reverse so the first child is expanded first.
-      for (auto it = children.rbegin(); it != children.rend(); ++it) {
-        work->push_back(std::move(*it));
-      }
-    }
-  }
-
-  const Graph& graph_;
-  const QuasiCliqueMinerOptions& options_;
-  Mode mode_;
-  MinerStats* stats_;
-  CandidateScratch scratch_;
-
-  MaximalSetFilter maximal_;             // kMaximal
-  const std::function<void(const VertexSet&)>* emit_ = nullptr;  // kMaximal
-  std::vector<bool> covered_;            // kCoverage
-  VertexId covered_count_ = 0;           // kCoverage
-  TopKCollector collector_;              // kTopK
-
-  TwoHopMarker marker_;  // diameter filter scratch
-  CancelToken* cancel_ = nullptr;
-  std::uint32_t cancel_tick_ = 0;  // clock-check throttle for cancel_
-};
-
-/// Decomposed (intra-parallel) search over one (already vertex-reduced)
-/// local graph, for maximal and coverage mode; see the header's file
+/// The one set-enumeration search (paper Algorithm 1) over one (already
+/// vertex-reduced) local graph, in all three modes; see the header's file
 /// comment for the contract.
 ///
 /// Every branch task runs one fire-and-forget loop (RunBranch), the
-/// Pangolin/Galois DFS idiom: a candidate shallower than spawn_depth
-/// hands each child with a large enough extension list to a new pool
-/// task when a ParallelismBudget slot is free, and keeps it on its own
-/// work stack otherwise, so without a pool the traversal is exactly
-/// Search's. There are no barriers. Maximal mode has no cross-branch
-/// state. Coverage mode prunes and covers against one covered bitmap of
-/// atomic words shared by every task: K_S is a union, so coverage that
-/// another task found earlier can only skip candidates whose vertices
-/// are all covered already. The covered set cannot change; how much
-/// pruning each task sees, and so the work counters, depends on timing.
-class ParallelSearch {
+/// Pangolin/Galois DFS idiom. The search starts as one task on the
+/// calling thread. In maximal and coverage mode, with a pool and a
+/// budget attached, a candidate shallower than spawn_depth hands each
+/// child with a large enough extension list to a new pool task when a
+/// ParallelismBudget slot is free; every other child stays on the task's
+/// own work stack, so without a pool the traversal is the classic
+/// sequential one. There are no barriers. Maximal mode has no
+/// cross-branch state. Coverage mode prunes and covers against one
+/// covered bitmap of atomic words shared by every task: K_S is a union,
+/// so coverage that another task found earlier can only skip candidates
+/// whose vertices are all covered already. The covered set cannot
+/// change; how much pruning each task sees, and so the work counters,
+/// depends on timing. Top-k mode never spawns: its collector and the
+/// §3.2.3 raised min_size are the one task's state.
+class Search {
  public:
-  ParallelSearch(const Graph& graph, const QuasiCliqueMinerOptions& options,
-                 Mode mode, ThreadPool* pool, ParallelismBudget* budget,
-                 CancelToken* cancel, MinerStats* stats)
+  Search(const Graph& graph, const QuasiCliqueMinerOptions& options,
+         Mode mode, std::size_t k, ThreadPool* pool,
+         ParallelismBudget* budget, CancelToken* cancel, MinerStats* stats)
       : graph_(graph),
         options_(options),
         mode_(mode),
-        pool_(pool),
+        pool_(mode != Mode::kTopK && options.spawn_depth > 0 &&
+                      budget != nullptr
+                  ? pool
+                  : nullptr),
         budget_(budget),
         cancel_(cancel),
         stats_(stats),
-        prototype_(graph),
-        covered_((graph.NumVertices() + 63) / 64) {
-    SCPM_CHECK(mode_ != Mode::kTopK)
-        << "top-k pruning is traversal-order dependent";
-    arenas_.resize(pool_ != nullptr ? pool_->num_threads() + 1 : 1);
+        collector_(k == 0 ? 1 : k),
+        covered_(mode == Mode::kCoverage ? (graph.NumVertices() + 63) / 64
+                                         : 0) {
+    if (pool_ != nullptr) {
+      // Worker arenas clone this prototype, sharing its adjacency bits.
+      prototype_.emplace(graph);
+      arenas_.resize(pool_->num_threads() + 1);
+    } else {
+      arenas_.push_back(
+          std::make_unique<WorkerArena>(CandidateScratch(graph), graph));
+    }
   }
 
   Status Run() {
@@ -481,16 +302,14 @@ class ParallelSearch {
     RunBranch(std::move(root), 0);
     if (pool_ != nullptr) pool_->WaitFor(&group_);
 
-    {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      if (!first_error_.ok()) return first_error_;
-    }
-    stats_->MergeFrom(shared_.stats);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!first_error_.ok()) return first_error_;
+    stats_->MergeFrom(folded_stats_);
     return Status::OK();
   }
 
   std::vector<VertexSet> TakeMaximal() {
-    std::vector<VertexSet> keep = shared_.filter.TakeSorted();
+    std::vector<VertexSet> keep = maximal_.TakeSorted();
     stats_->sets_reported = keep.size();
     return keep;
   }
@@ -503,23 +322,14 @@ class ParallelSearch {
     return out;
   }
 
- private:
-  /// Where every branch task folds its counters (and, in maximal mode,
-  /// its local antichain) the moment it finishes, under one lock. Counter
-  /// sums are commutative and MaximalSetFilter's content is offer-order
-  /// independent, so completion order never shows in the output.
-  struct Accumulator {
-    std::mutex mutex;
-    MinerStats stats;
-    MaximalSetFilter filter;  // kMaximal
-  };
+  std::vector<RankedQuasiClique> TakeTopK() { return collector_.Finalize(); }
 
+ private:
   /// Per-worker mutable search state; no branch task ever touches another
-  /// worker's arena. The CandidateScratch clones the prototype, sharing
-  /// its immutable adjacency bitset.
+  /// worker's arena.
   struct WorkerArena {
-    WorkerArena(const CandidateScratch& prototype, const Graph& graph)
-        : scratch(prototype), marker(graph) {}
+    WorkerArena(CandidateScratch scratch_in, const Graph& graph)
+        : scratch(std::move(scratch_in)), marker(graph) {}
     CandidateScratch scratch;
     TwoHopMarker marker;
     std::uint32_t cancel_tick = 0;  // clock-check throttle; worker-local
@@ -530,20 +340,22 @@ class ParallelSearch {
     std::uint32_t depth = 0;
   };
 
-  /// The arena of the pool worker running the current task; slot 0 is the
-  /// initiating thread (inline execution outside the pool).
+  /// The arena of the thread running the current task: slot 0 is the
+  /// initiating thread, slot i + 1 pool worker i. Without spawning there
+  /// is only slot 0, built once in the constructor.
   WorkerArena& Arena() {
-    const int index = pool_ != nullptr ? pool_->current_worker_index() : -1;
-    const std::size_t slot = static_cast<std::size_t>(index + 1);
-    std::lock_guard<std::mutex> lock(arena_mutex_);
+    if (pool_ == nullptr) return *arenas_[0];
+    const std::size_t slot =
+        static_cast<std::size_t>(pool_->current_worker_index() + 1);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (arenas_[slot] == nullptr) {
-      arenas_[slot] = std::make_unique<WorkerArena>(prototype_, graph_);
+      arenas_[slot] = std::make_unique<WorkerArena>(*prototype_, graph_);
     }
     return *arenas_[slot];
   }
 
   void RecordError(Status status) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (first_error_.ok()) first_error_ = std::move(status);
     has_error_.store(true);
   }
@@ -551,9 +363,7 @@ class ParallelSearch {
   /// Runs `child` as a new pool task when a budget slot is free. Returns
   /// false (and takes nothing) otherwise.
   bool TrySpawn(Candidate* child, std::uint32_t depth) {
-    if (pool_ == nullptr || budget_ == nullptr || !budget_->TryAcquire()) {
-      return false;
-    }
+    if (!budget_->TryAcquire()) return false;
     auto boxed = std::make_shared<Candidate>(std::move(*child));
     pool_->Spawn(&group_, [this, boxed, depth] {
       RunBranch(std::move(*boxed), depth);
@@ -591,29 +401,42 @@ class ParallelSearch {
   }
 
   void Report(VertexSet q, MaximalSetFilter* reported) {
-    if (mode_ == Mode::kCoverage) {
-      Cover(q);
-    } else {
-      reported->Offer(std::move(q));
+    switch (mode_) {
+      case Mode::kMaximal:
+        reported->Offer(std::move(q));
+        break;
+      case Mode::kCoverage:
+        Cover(q);
+        break;
+      case Mode::kTopK: {
+        RankedQuasiClique entry;
+        entry.min_degree_ratio = MinDegreeRatio(graph_, q);
+        entry.vertices = std::move(q);
+        collector_.Offer(std::move(entry));
+        break;
+      }
     }
   }
 
-  /// One branch task: Search's candidate loop over this subtree, except
-  /// that candidates shallower than spawn_depth offer their large
-  /// children to new tasks (see TrySpawn).
+  /// One branch task: the candidate loop over this subtree. Each task
+  /// keeps its own counters and, in maximal mode, its own antichain, and
+  /// folds both in under one lock when it finishes. Counter sums are
+  /// commutative and MaximalSetFilter's content is offer-order
+  /// independent, so completion order never shows in the output.
   void RunBranch(Candidate root, std::uint32_t root_depth) {
     MinerStats stats;
-    stats.branch_tasks = 1;
+    stats.branch_tasks = options_.spawn_depth > 0 && mode_ != Mode::kTopK;
     // Local antichain: dominated sets die inside the branch, shrinking
-    // both this task's residency and the fold under the shared lock.
+    // both this task's residency and the fold under the lock.
     MaximalSetFilter reported;
     WorkerArena& arena = Arena();
     const VertexId n = graph_.NumVertices();
+    const std::uint32_t spawn_depth =
+        pool_ != nullptr ? options_.spawn_depth : 0;
 
     std::deque<WorkItem> work;
     work.push_back({std::move(root), root_depth});
     std::vector<Candidate> children;
-    std::vector<Candidate> local;
     while (!work.empty() && !has_error_.load()) {
       if (cancel_ != nullptr && cancel_->ShouldStop(&arena.cancel_tick)) {
         RecordError(Status::Cancelled("quasi-clique search cancelled"));
@@ -627,23 +450,40 @@ class ParallelSearch {
         item = std::move(work.back());
         work.pop_back();
       }
+      const Candidate& cand = item.cand;
       ++stats.candidates_processed;
       if (options_.max_candidates != 0 &&
-          shared_candidates_.fetch_add(1) + 1 > options_.max_candidates) {
+          candidates_.fetch_add(1) + 1 > options_.max_candidates) {
         RecordError(Status::OutOfRange("candidate budget exceeded"));
         break;
       }
+
       if (mode_ == Mode::kCoverage) {
+        // Everything already covered: nothing left to find.
         if (covered_count_.load(std::memory_order_relaxed) == n) break;
-        if (AllCovered(item.cand)) {
+        if (AllCovered(cand)) {
           ++stats.pruned_by_coverage;
           continue;
         }
       }
 
+      // The paper §3.2.3: once k patterns are known, candidates that
+      // cannot reach the k-th size are pruned; the raised size also
+      // strengthens every degree bound inside Analyze.
+      QuasiCliqueParams params = options_.params;
+      if (mode_ == Mode::kTopK && collector_.Full()) {
+        const std::size_t kth = collector_.KthSize();
+        if (cand.x.size() + cand.ext.size() < kth) {
+          ++stats.pruned_by_topk;
+          continue;
+        }
+        params.min_size = std::max<std::uint32_t>(
+            params.min_size, static_cast<std::uint32_t>(kth));
+      }
+
       CandidateAnalysis analysis = arena.scratch.Analyze(
-          item.cand, options_.params, options_.enable_size_bound,
-          options_.enable_lookahead, options_.enable_critical_vertex);
+          cand, params, options_.enable_size_bound, options_.enable_lookahead,
+          options_.enable_critical_vertex);
       if (analysis.verdict == CandidateVerdict::kPrune) {
         ++stats.pruned_by_analysis;
         continue;
@@ -651,67 +491,77 @@ class ParallelSearch {
       if (analysis.verdict == CandidateVerdict::kLookahead) {
         ++stats.lookahead_hits;
         VertexSet whole;
-        SortedUnion(item.cand.x, analysis.pruned_ext, &whole);
+        SortedUnion(cand.x, analysis.pruned_ext, &whole);
         Report(std::move(whole), &reported);
         continue;
       }
       if (!analysis.forced.empty()) {
+        // Critical vertex: every satisfying set of this subtree contains
+        // the forced vertices, so jump straight to that candidate.
         ++stats.critical_vertex_jumps;
         Candidate jump;
-        SortedUnion(item.cand.x, analysis.forced, &jump.x);
+        SortedUnion(cand.x, analysis.forced, &jump.x);
         SortedDifference(analysis.pruned_ext, analysis.forced, &jump.ext);
         work.push_back({std::move(jump), item.depth});
         continue;
       }
-      if (analysis.x_is_satisfying) Report(item.cand.x, &reported);
+      if (analysis.x_is_satisfying) Report(cand.x, &reported);
 
-      BuildChildren(item.cand, analysis.pruned_ext, options_, &arena.marker,
+      BuildChildren(cand, analysis.pruned_ext, options_, &arena.marker,
                     &children);
-      const bool decompose = item.depth < options_.spawn_depth;
-      local.clear();
-      for (Candidate& child : children) {
-        if (!(decompose && child.ext.size() >= options_.min_spawn_ext &&
-              TrySpawn(&child, item.depth + 1))) {
-          local.push_back(std::move(child));
-        }
+      const std::uint32_t depth = item.depth + 1;
+      if (item.depth < spawn_depth) {
+        // In child order, so the first (largest) children get the slots.
+        children.erase(
+            std::remove_if(children.begin(), children.end(),
+                           [&](Candidate& child) {
+                             return child.ext.size() >=
+                                        options_.min_spawn_ext &&
+                                    TrySpawn(&child, depth);
+                           }),
+            children.end());
       }
       if (options_.order == SearchOrder::kBfs) {
-        for (auto& c : local) work.push_back({std::move(c), item.depth + 1});
+        for (Candidate& c : children) work.push_back({std::move(c), depth});
       } else {
         // Stack: push in reverse so the first child is expanded first.
-        for (auto it = local.rbegin(); it != local.rend(); ++it) {
-          work.push_back({std::move(*it), item.depth + 1});
+        for (auto it = children.rbegin(); it != children.rend(); ++it) {
+          work.push_back({std::move(*it), depth});
         }
       }
     }
 
-    std::lock_guard<std::mutex> lock(shared_.mutex);
-    shared_.stats.MergeFrom(stats);
-    for (VertexSet& q : reported.TakeSorted()) {
-      shared_.filter.Offer(std::move(q));
+    std::lock_guard<std::mutex> lock(mutex_);
+    folded_stats_.MergeFrom(stats);
+    // The first antichain is taken whole, so a search that never spawns
+    // offers each set once.
+    if (maximal_.size() == 0) {
+      std::swap(maximal_, reported);
+    } else {
+      for (VertexSet& q : reported.TakeSorted()) maximal_.Offer(std::move(q));
     }
   }
 
   const Graph& graph_;
   const QuasiCliqueMinerOptions& options_;
   Mode mode_;
-  ThreadPool* pool_;
+  ThreadPool* pool_;  // null unless this search may spawn
   ParallelismBudget* budget_;
   CancelToken* cancel_;
   MinerStats* stats_;
 
-  CandidateScratch prototype_;  // adjacency bits shared into the arenas
-  std::mutex arena_mutex_;
+  std::optional<CandidateScratch> prototype_;  // only when spawning
   std::vector<std::unique_ptr<WorkerArena>> arenas_;
-
   ThreadPool::TaskGroup group_;
-  Accumulator shared_;
 
-  std::mutex error_mutex_;
+  std::mutex mutex_;  // guards arenas_, first_error_ and the folded state
   Status first_error_;
+  MinerStats folded_stats_;
+  MaximalSetFilter maximal_;  // kMaximal: every task's antichain, folded
   std::atomic<bool> has_error_{false};
-  std::atomic<std::uint64_t> shared_candidates_{0};  // max_candidates only
+  std::atomic<std::uint64_t> candidates_{0};  // max_candidates only
 
+  TopKCollector collector_;  // kTopK: the one task's
   std::vector<std::atomic<std::uint64_t>> covered_;  // kCoverage, 1 bit/vertex
   std::atomic<VertexId> covered_count_{0};
 };
@@ -744,41 +594,13 @@ Result<std::vector<VertexSet>> QuasiCliqueMiner::MineMaximal(
   stats_ = MinerStats{};
   Result<InducedSubgraph> sub = Reduce(graph, options_, workspace_);
   if (!sub.ok()) return sub.status();
-  std::vector<VertexSet> local;
-  if (options_.spawn_depth > 0) {
-    ParallelSearch search(sub->graph(), options_, Mode::kMaximal, pool_,
-                          budget_, cancel_, &stats_);
-    SCPM_RETURN_IF_ERROR(search.Run());
-    local = search.TakeMaximal();
-  } else {
-    Search search(sub->graph(), options_, Mode::kMaximal, 0, &stats_);
-    search.set_cancel(cancel_);
-    SCPM_RETURN_IF_ERROR(search.Run());
-    local = search.TakeMaximal();
-  }
-  std::vector<VertexSet> out;
-  out.reserve(local.size());
-  for (const VertexSet& q : local) out.push_back(sub->ToGlobal(q));
+  Search search(sub->graph(), options_, Mode::kMaximal, 0, pool_, budget_,
+                cancel_, &stats_);
+  SCPM_RETURN_IF_ERROR(search.Run());
+  std::vector<VertexSet> out = search.TakeMaximal();
+  for (VertexSet& q : out) q = sub->ToGlobal(q);
   Release(workspace_, std::move(sub).value());
   return out;
-}
-
-Status QuasiCliqueMiner::MineMaximalInto(
-    const Graph& graph, const std::function<void(const VertexSet&)>& emit) {
-  SCPM_RETURN_IF_ERROR(options_.Validate());
-  stats_ = MinerStats{};
-  Result<InducedSubgraph> sub = Reduce(graph, options_, workspace_);
-  if (!sub.ok()) return sub.status();
-  // Reported sets leave in local ids; translate at the boundary so the
-  // caller sees the same coordinate space MineMaximal returns.
-  const std::function<void(const VertexSet&)> global_emit =
-      [&](const VertexSet& q) { emit(sub->ToGlobal(q)); };
-  Search search(sub->graph(), options_, Mode::kMaximal, 0, &stats_);
-  search.set_cancel(cancel_);
-  search.set_emit(&global_emit);
-  const Status status = search.Run();
-  Release(workspace_, std::move(sub).value());
-  return status;
 }
 
 Result<VertexSet> QuasiCliqueMiner::MineCoverage(const Graph& graph) {
@@ -786,18 +608,10 @@ Result<VertexSet> QuasiCliqueMiner::MineCoverage(const Graph& graph) {
   stats_ = MinerStats{};
   Result<InducedSubgraph> sub = Reduce(graph, options_, workspace_);
   if (!sub.ok()) return sub.status();
-  VertexSet covered;
-  if (options_.spawn_depth > 0) {
-    ParallelSearch search(sub->graph(), options_, Mode::kCoverage, pool_,
-                          budget_, cancel_, &stats_);
-    SCPM_RETURN_IF_ERROR(search.Run());
-    covered = sub->ToGlobal(search.TakeCoverage());
-  } else {
-    Search search(sub->graph(), options_, Mode::kCoverage, 0, &stats_);
-    search.set_cancel(cancel_);
-    SCPM_RETURN_IF_ERROR(search.Run());
-    covered = sub->ToGlobal(search.TakeCoverage());
-  }
+  Search search(sub->graph(), options_, Mode::kCoverage, 0, pool_, budget_,
+                cancel_, &stats_);
+  SCPM_RETURN_IF_ERROR(search.Run());
+  VertexSet covered = sub->ToGlobal(search.TakeCoverage());
   Release(workspace_, std::move(sub).value());
   return covered;
 }
@@ -809,8 +623,8 @@ Result<std::vector<RankedQuasiClique>> QuasiCliqueMiner::MineTopK(
   stats_ = MinerStats{};
   Result<InducedSubgraph> sub = Reduce(graph, options_, workspace_);
   if (!sub.ok()) return sub.status();
-  Search search(sub->graph(), options_, Mode::kTopK, k, &stats_);
-  search.set_cancel(cancel_);
+  Search search(sub->graph(), options_, Mode::kTopK, k, pool_, budget_,
+                cancel_, &stats_);
   SCPM_RETURN_IF_ERROR(search.Run());
   std::vector<RankedQuasiClique> local = search.TakeTopK();
   for (RankedQuasiClique& q : local) {

@@ -13,17 +13,18 @@
 // (paper §3.2.2); they are equivalent in output for MineMaximal and
 // MineCoverage and only differ in traversal cost.
 //
-// Intra-search parallelism (Galois/Pangolin DFS-style): with
-// spawn_depth > 0, a candidate within spawn_depth of the root hands each
-// child whose extension list is large enough to a new branch task on the
-// attached work-stealing ThreadPool when a ParallelismBudget slot is
-// free; a child that gets no slot stays on its task's own work stack.
-// Tasks never wait on each other. In coverage mode they all prune
-// against one live covered bitmap. The output — maximal sets, covered
-// set — is identical for any thread count. The work counters in
-// MinerStats depend on which tasks ran where; without a pool the search
-// is exactly the sequential one. MineTopK always searches sequentially:
-// its §3.2.3 dynamic min-size pruning depends on the traversal order.
+// All three modes run one candidate loop. Intra-search parallelism is
+// the Galois/Pangolin DFS style: with spawn_depth > 0 and a pool and a
+// ParallelismBudget attached, a maximal or coverage search hands each
+// child of a candidate within spawn_depth of the root, whose extension
+// list is large enough, to a new branch task when a budget slot is free;
+// every other child stays on its task's own work stack. Tasks never wait
+// on each other. In coverage mode they all prune against one live
+// covered bitmap. The output — maximal sets, covered set — is identical
+// for any thread count. The work counters in MinerStats depend on which
+// tasks ran where. Without a pool nothing spawns, and the loop walks the
+// classic sequential traversal. MineTopK never spawns: its §3.2.3
+// dynamic min-size pruning depends on the traversal order.
 
 #ifndef SCPM_QCLIQUE_MINER_H_
 #define SCPM_QCLIQUE_MINER_H_
@@ -76,8 +77,8 @@ struct QuasiCliqueMinerOptions {
   std::uint64_t max_candidates = 0;
 
   /// Intra-search parallel depth: candidates within this many levels of
-  /// the search root may hand children to branch tasks (0 = classic
-  /// sequential search). Ignored by MineTopK (see the file comment).
+  /// the search root may hand children to branch tasks (0 = never).
+  /// Ignored by MineTopK (see the file comment).
   std::uint32_t spawn_depth = 0;
   /// Branches with fewer candidate extensions than this are never worth
   /// a task of their own; they stay on their parent task's stack. The
@@ -88,13 +89,13 @@ struct QuasiCliqueMinerOptions {
   Status Validate() const;
 };
 
-/// Search-effort counters from the most recent mining call. In an
-/// intra-parallel search each branch task accumulates its own MinerStats
-/// and folds them in when it finishes, so the totals are exact for the
-/// run. They are not a function of the input alone: which children got
-/// a task, and how much coverage other tasks had found by the time a
-/// candidate was checked, depend on timing. Without a pool they equal
-/// the sequential search's (branch_tasks aside).
+/// Search-effort counters from the most recent mining call. Each branch
+/// task accumulates its own MinerStats and folds them in when it
+/// finishes, so the totals are exact for the run. With a pool they are
+/// not a function of the input alone: which children got a task, and
+/// how much coverage other tasks had found by the time a candidate was
+/// checked, depend on timing. Without a pool they are the sequential
+/// traversal's whatever spawn_depth is (branch_tasks aside).
 struct MinerStats {
   std::uint64_t candidates_processed = 0;
   std::uint64_t pruned_by_analysis = 0;
@@ -103,8 +104,8 @@ struct MinerStats {
   std::uint64_t lookahead_hits = 0;
   std::uint64_t critical_vertex_jumps = 0;
   std::uint64_t sets_reported = 0;
-  /// Branch tasks that ran: 0 on the sequential path, 1 for an
-  /// intra-parallel search that spawned nothing.
+  /// Branch tasks that ran: 0 when spawn_depth is 0 and in top-k mode,
+  /// otherwise the number of tasks (1 when nothing was spawned).
   std::uint64_t branch_tasks = 0;
 
   /// Adds one branch task's counters.
@@ -168,18 +169,6 @@ class QuasiCliqueMiner {
   /// decreasing size then lexicographically.
   Result<std::vector<VertexSet>> MineMaximal(const Graph& graph);
 
-  /// Emit-as-found bypass for coverage-only consumers: streams every
-  /// *reported* satisfying set to `emit` the moment the search finds
-  /// it, with no maximality filter and nothing buffered — the union of
-  /// the reported sets equals the union of the maximal ones, so a
-  /// caller that only folds the sets (coverage marking, counting) gets
-  /// the same answer with O(1) resident sets. Emission order is the
-  /// traversal order, so this always searches sequentially
-  /// (spawn_depth is ignored); work counters match MineMaximal, but
-  /// stats().sets_reported counts raw reports, not maximal survivors.
-  Status MineMaximalInto(const Graph& graph,
-                         const std::function<void(const VertexSet&)>& emit);
-
   /// Sorted set of vertices covered by at least one satisfying set
   /// (the paper's K for this graph).
   Result<VertexSet> MineCoverage(const Graph& graph);
@@ -199,9 +188,10 @@ class QuasiCliqueMiner {
   void set_workspace(SubgraphWorkspace* workspace) { workspace_ = workspace; }
 
   /// Attaches the pool and slot budget that execute branch tasks (both
-  /// borrowed; may be null). With spawn_depth > 0 and no pool, every
-  /// child stays on the one task's stack: the traversal, and every
-  /// counter but branch_tasks, is the sequential search's.
+  /// borrowed; may be null). Only a maximal or coverage search with
+  /// spawn_depth > 0 and both attached spawns. Otherwise every child
+  /// stays on the one task's stack: the traversal, and every counter but
+  /// branch_tasks, is the sequential one.
   void set_parallel_context(ThreadPool* pool, ParallelismBudget* budget) {
     pool_ = pool;
     budget_ = budget;
@@ -211,12 +201,11 @@ class QuasiCliqueMiner {
   /// policy flips it per evaluation based on |G(S)|).
   void set_spawn_depth(std::uint32_t depth) { options_.spawn_depth = depth; }
 
-  /// Borrowed cooperative-cancellation token (may be null). Every search
-  /// loop — sequential and branch tasks alike — polls it once per
-  /// candidate, so a long coverage search observes an engine budget
-  /// within one candidate's work of the flag latching. A cancelled Mine*
-  /// call returns StatusCode::kCancelled; partial discoveries are
-  /// discarded.
+  /// Borrowed cooperative-cancellation token (may be null). Every branch
+  /// task polls it once per candidate, so a long coverage search observes
+  /// an engine budget within one candidate's work of the flag latching.
+  /// A cancelled Mine* call returns StatusCode::kCancelled; partial
+  /// discoveries are discarded.
   void set_cancel_token(CancelToken* cancel) { cancel_ = cancel; }
 
  private:

@@ -329,6 +329,19 @@ std::string JsonValue::Dump() const {
   return out;
 }
 
+Result<std::uint64_t> JsonWholeNumber(const JsonValue& value,
+                                      const std::string& member,
+                                      std::uint64_t max) {
+  const double d = value.AsNumber();
+  // 2^64 is exact in a double; below it the cast cannot overflow.
+  if (value.is_number() && d >= 0.0 && d < 0x1p64 && d == std::floor(d)) {
+    const auto n = static_cast<std::uint64_t>(d);
+    if (n <= max) return n;
+  }
+  return Status::InvalidArgument(member + " must be a whole number from 0 to " +
+                                 std::to_string(max));
+}
+
 std::string JsonQuote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -94,6 +94,14 @@ class JsonValue {
 /// the output).
 std::string JsonQuote(std::string_view s);
 
+/// The wire rule for integer members: a whole number from 0 to `max`.
+/// A non-number, a negative or fractional number, or one above `max` is
+/// an invalid-argument naming `member`, never a wrapped or truncated
+/// cast.
+Result<std::uint64_t> JsonWholeNumber(const JsonValue& value,
+                                      const std::string& member,
+                                      std::uint64_t max);
+
 }  // namespace scpm
 
 #endif  // SCPM_SERVER_JSON_H_

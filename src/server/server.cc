@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "core/engine.h"
@@ -685,7 +686,10 @@ std::string ScpmServer::HandleRequest(const std::string& line) {
                  Status::InvalidArgument("op \"" + op + "\" requires \"id\""))
           .Dump();
     }
-    const std::uint64_t id = static_cast<std::uint64_t>(id_value->AsNumber());
+    Result<std::uint64_t> parsed_id = JsonWholeNumber(
+        *id_value, "id", std::numeric_limits<std::uint64_t>::max());
+    if (!parsed_id.ok()) return ErrorResponse(parsed_id.status()).Dump();
+    const std::uint64_t id = *parsed_id;
     std::shared_ptr<QuerySession> session = Find(id);
     if (session == nullptr) {
       return ErrorResponse(

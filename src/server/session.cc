@@ -19,6 +19,19 @@ double MsSince(std::chrono::steady_clock::time_point since,
   return std::chrono::duration<double, std::milli>(now - since).count();
 }
 
+/// Decodes integer query member `key` into *out by the wire rule
+/// (JsonWholeNumber). A non-number is left to the type check after the
+/// member dispatch in ParseQuerySpec.
+template <typename T>
+Status ReadWhole(const JsonValue& value, const std::string& key, T* out) {
+  if (!value.is_number()) return Status::OK();
+  Result<std::uint64_t> n = JsonWholeNumber(value, "query member " + key,
+                                            std::numeric_limits<T>::max());
+  if (!n.ok()) return n.status();
+  *out = static_cast<T>(*n);
+  return Status::OK();
+}
+
 JsonValue IdArray(const std::vector<AttributeId>& ids) {
   JsonValue out = JsonValue::MakeArray();
   for (AttributeId a : ids) {
@@ -138,16 +151,16 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
     if (key == "gamma") {
       spec.options.quasi_clique.gamma = number();
     } else if (key == "min_size") {
-      spec.options.quasi_clique.min_size =
-          static_cast<std::uint32_t>(number());
+      SCPM_RETURN_IF_ERROR(
+          ReadWhole(value, key, &spec.options.quasi_clique.min_size));
     } else if (key == "sigma_min") {
-      spec.options.min_support = static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(ReadWhole(value, key, &spec.options.min_support));
     } else if (key == "eps_min") {
       spec.options.min_epsilon = number();
     } else if (key == "delta_min") {
       spec.options.min_delta = number();
     } else if (key == "top_k") {
-      spec.options.top_k = static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(ReadWhole(value, key, &spec.options.top_k));
     } else if (key == "scope") {
       const std::string& scope = value.AsString();
       if (scope == "maximal") {
@@ -167,27 +180,31 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
         return Status::InvalidArgument("unknown order: " + order);
       }
     } else if (key == "max_set_size") {
-      spec.options.max_attribute_set_size = static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(
+          ReadWhole(value, key, &spec.options.max_attribute_set_size));
     } else if (key == "min_report_size") {
-      spec.options.min_report_size = static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(
+          ReadWhole(value, key, &spec.options.min_report_size));
     } else if (key == "collect_patterns") {
       spec.options.collect_patterns = value.AsBool();
     } else if (key == "batch_grain") {
-      spec.options.eval_batch_grain = static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(
+          ReadWhole(value, key, &spec.options.eval_batch_grain));
     } else if (key == "intra_min") {
-      spec.options.intra_search_min_universe =
-          static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(
+          ReadWhole(value, key, &spec.options.intra_search_min_universe));
     } else if (key == "intra_depth") {
-      spec.options.intra_search_spawn_depth =
-          static_cast<std::uint32_t>(number());
+      SCPM_RETURN_IF_ERROR(
+          ReadWhole(value, key, &spec.options.intra_search_spawn_depth));
     } else if (key == "hybrid") {
       spec.options.use_hybrid_sets = value.AsBool();
     } else if (key == "deadline_ms") {
-      spec.budget.deadline_ms = static_cast<std::uint64_t>(number());
+      SCPM_RETURN_IF_ERROR(ReadWhole(value, key, &spec.budget.deadline_ms));
     } else if (key == "max_evals") {
-      spec.budget.max_evaluations = static_cast<std::uint64_t>(number());
+      SCPM_RETURN_IF_ERROR(
+          ReadWhole(value, key, &spec.budget.max_evaluations));
     } else if (key == "max_patterns") {
-      spec.budget.max_patterns = static_cast<std::uint64_t>(number());
+      SCPM_RETURN_IF_ERROR(ReadWhole(value, key, &spec.budget.max_patterns));
     } else if (key == "sink") {
       const std::string& sink = value.AsString();
       if (sink == "accumulate") {
@@ -202,9 +219,9 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
     } else if (key == "out") {
       spec.jsonl_path = value.AsString();
     } else if (key == "sink_k") {
-      spec.sink_k = static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(ReadWhole(value, key, &spec.sink_k));
     } else if (key == "max_rows") {
-      spec.max_rows = static_cast<std::size_t>(number());
+      SCPM_RETURN_IF_ERROR(ReadWhole(value, key, &spec.max_rows));
     } else {
       return Status::InvalidArgument("unknown query member: " + key);
     }

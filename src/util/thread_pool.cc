@@ -72,10 +72,6 @@ int ThreadPool::current_worker_index() const {
   return tls_pool == this ? static_cast<int>(tls_index) : -1;
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  Enqueue(Task{std::move(task), nullptr});
-}
-
 void ThreadPool::Spawn(TaskGroup* group, std::function<void()> task) {
   group->pending_.fetch_add(1);
   Enqueue(Task{std::move(task), group});
@@ -163,9 +159,8 @@ bool ThreadPool::PopTask(std::size_t self, const TaskGroup* only_group,
 
 void ThreadPool::FinishTask(const Task& task) {
   bool notify = false;
-  if (task.group != nullptr && task.group->pending_.fetch_sub(1) == 1) {
-    notify = true;
-  }
+  if (task.group->pending_.fetch_sub(1) == 1) notify = true;
+  // The last task overall may release workers parked for shutdown.
   if (total_pending_.fetch_sub(1) == 1) notify = true;
   if (!notify) return;
   // A drained group may release helping workers (cv_) and external
@@ -247,12 +242,6 @@ bool ThreadPool::WaitForUntil(
   return done_cv_.wait_until(lock, deadline, [group] {
     return group->pending_.load() == 0;
   });
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ScopedSleeper sleeper(&external_sleepers_);
-  done_cv_.wait(lock, [this] { return total_pending_.load() == 0; });
 }
 
 }  // namespace scpm

@@ -93,11 +93,9 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues a task outside any group. Thread-safe; callable from worker
-  /// threads (lands on the caller's own deque) and external threads alike.
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a task accounted against `group`. Same routing as Submit.
+  /// Enqueues a task accounted against `group`. Thread-safe; callable
+  /// from worker threads (lands on the caller's own deque) and external
+  /// threads alike (lands on the injection queue).
   void Spawn(TaskGroup* group, std::function<void()> task);
 
   /// Blocks until every task in `group` has finished. When called from a
@@ -117,11 +115,6 @@ class ThreadPool {
   /// token.
   bool WaitForUntil(TaskGroup* group,
                     std::chrono::steady_clock::time_point deadline);
-
-  /// Blocks until every task (all groups and ungrouped submissions) has
-  /// finished. Must be called from outside the pool's worker threads; a
-  /// task waiting for "everything" would wait for itself.
-  void Wait();
 
   /// Index in [0, num_threads()) when called from one of this pool's
   /// workers (including inside a task run while helping), -1 otherwise.
@@ -159,9 +152,9 @@ class ThreadPool {
 
   // Sleep/wake machinery. Threads that can *run* tasks (workers, and
   // workers helping inside WaitFor) park on cv_; enqueues bump epoch_ and
-  // wake them. External threads blocked in Wait/WaitFor park on done_cv_
-  // and are woken only by completions that drain a group (or everything)
-  // — an enqueue can never satisfy their predicate, so the per-task hot
+  // wake them. External threads blocked in WaitFor/WaitForUntil park on
+  // done_cv_ and are woken only by completions that drain a group — an
+  // enqueue can never satisfy their predicate, so the per-task hot
   // path does not touch them. All waiters re-check predicates against
   // these atomics under mutex_.
   std::mutex mutex_;

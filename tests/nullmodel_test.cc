@@ -195,10 +195,12 @@ TEST(MaxExpTest, ThreadSafeConcurrentAccess) {
   std::vector<double> got(want.size());
   {
     ThreadPool pool(4);
+    ThreadPool::TaskGroup group;
     for (std::size_t i = 0; i < want.size(); ++i) {
-      pool.Submit([&fresh, &got, i] { got[i] = fresh.Expectation(2 + 3 * i); });
+      pool.Spawn(&group,
+                 [&fresh, &got, i] { got[i] = fresh.Expectation(2 + 3 * i); });
     }
-    pool.Wait();
+    pool.WaitFor(&group);
   }
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_DOUBLE_EQ(got[i], want[i]) << i;

@@ -2,7 +2,6 @@
 // modes against brute force, BFS/DFS equivalence, pruning ablations.
 
 #include <algorithm>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -248,45 +247,6 @@ TEST(MaximalSetFilterTest, OfferReportsSurvival) {
   EXPECT_TRUE(filter.Offer({1, 2, 3, 4}));  // evicts {1,2,3}
   EXPECT_EQ(filter.size(), 1u);
   EXPECT_EQ(filter.TakeSorted(), (std::vector<VertexSet>{{1, 2, 3, 4}}));
-}
-
-/// The emit-as-found bypass: every maximal set the filter would keep is
-/// among the raw reports, so the streamed union equals the filtered
-/// union — and the search itself does identical work (same candidate
-/// count) with no result buffer at all.
-TEST(MinerTest, MineMaximalIntoStreamsSameUnion) {
-  for (int seed = 0; seed < 6; ++seed) {
-    Rng rng(seed);
-    Result<Graph> g = ErdosRenyi(26, 0.25, rng);
-    ASSERT_TRUE(g.ok());
-    QuasiCliqueMiner buffered(Opts(0.6, 3));
-    Result<std::vector<VertexSet>> maximal = buffered.MineMaximal(*g);
-    ASSERT_TRUE(maximal.ok());
-
-    QuasiCliqueMiner streaming(Opts(0.6, 3));
-    std::set<VertexId> streamed_union;
-    std::uint64_t emitted = 0;
-    ASSERT_TRUE(streaming
-                    .MineMaximalInto(*g,
-                                     [&](const VertexSet& q) {
-                                       ++emitted;
-                                       streamed_union.insert(q.begin(),
-                                                             q.end());
-                                     })
-                    .ok());
-
-    std::set<VertexId> maximal_union;
-    for (const VertexSet& q : *maximal) {
-      maximal_union.insert(q.begin(), q.end());
-    }
-    EXPECT_EQ(streamed_union, maximal_union) << "seed " << seed;
-    // Raw reports are a superset of the maximal survivors.
-    EXPECT_GE(emitted, maximal->size());
-    EXPECT_EQ(streaming.stats().sets_reported, emitted);
-    // Identical search work: streaming changes memory, not the walk.
-    EXPECT_EQ(streaming.stats().candidates_processed,
-              buffered.stats().candidates_processed);
-  }
 }
 
 struct MinerSweepParam {
@@ -725,22 +685,34 @@ TEST(IntraSearchTest, CandidateBudgetStillEnforced) {
   EXPECT_EQ(budget.available(), 8u);
 }
 
+/// Top-k never spawns, with or without a pool: its dynamic min-size
+/// pruning depends on the traversal order, so the one loop keeps every
+/// child on the task's own stack and the answer is the sequential one.
 TEST(IntraSearchTest, TopKIgnoresSpawnDepth) {
   Rng rng(5);
   Result<Graph> g = ErdosRenyi(24, 0.35, rng);
   ASSERT_TRUE(g.ok());
   QuasiCliqueMinerOptions o = IntraOpts(0.6, 3);
   QuasiCliqueMiner sequential(Opts(0.6, 3));
-  QuasiCliqueMiner miner(o);
   Result<std::vector<RankedQuasiClique>> want = sequential.MineTopK(*g, 3);
-  Result<std::vector<RankedQuasiClique>> got = miner.MineTopK(*g, 3);
   ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(got->size(), want->size());
-  for (std::size_t i = 0; i < want->size(); ++i) {
-    EXPECT_EQ((*got)[i].vertices, (*want)[i].vertices);
+
+  ThreadPool pool(4);
+  ParallelismBudget budget(8);
+  QuasiCliqueMiner inline_miner(o);
+  QuasiCliqueMiner pooled_miner(o);
+  pooled_miner.set_parallel_context(&pool, &budget);
+  for (QuasiCliqueMiner* miner : {&inline_miner, &pooled_miner}) {
+    Result<std::vector<RankedQuasiClique>> got = miner->MineTopK(*g, 3);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), want->size());
+    for (std::size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ((*got)[i].vertices, (*want)[i].vertices);
+    }
+    EXPECT_EQ(miner->stats().branch_tasks, 0u);
+    ExpectWorkEqual(miner->stats(), sequential.stats());
   }
-  EXPECT_EQ(miner.stats().branch_tasks, 0u);
+  EXPECT_EQ(budget.available(), 8u);
 }
 
 TEST(MinerTest, CoveragePruningReducesWork) {

@@ -573,5 +573,78 @@ TEST(ServerTest, ParseQuerySpecRejectsMalformedQueries) {
   EXPECT_DOUBLE_EQ(spec->options.quasi_clique.gamma, 0.6);
 }
 
+/// Parses `text` as a query object; the test's inputs are well-formed.
+Result<QuerySpec> ParseQueryText(const std::string& text) {
+  Result<JsonValue> query = JsonValue::Parse(text);
+  EXPECT_TRUE(query.ok()) << text;
+  return ParseQuerySpec(*query);
+}
+
+/// Integer members take only whole numbers that fit their type: a
+/// negative, fractional or oversized number is a typed invalid-argument
+/// naming the member, never a wrapped or truncated value.
+TEST(ServerTest, ParseQuerySpecRangeChecksIntegerMembers) {
+  const std::vector<std::string> integer_members = {
+      "min_size",    "sigma_min", "top_k",        "max_set_size",
+      "min_report_size", "batch_grain", "intra_min", "intra_depth",
+      "deadline_ms", "max_evals", "max_patterns", "sink_k",
+      "max_rows"};
+  for (const std::string& member : integer_members) {
+    for (const std::string bad :
+         {"-1", "-3", "2.5", "0.5", "1e300", "18446744073709551616"}) {
+      const std::string text = "{\"" + member + "\":" + bad + "}";
+      Result<QuerySpec> spec = ParseQueryText(text);
+      ASSERT_FALSE(spec.ok()) << text;
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+      EXPECT_NE(spec.status().message().find(member), std::string::npos)
+          << spec.status();
+    }
+  }
+  // 32-bit members reject 2^32 + 1 rather than wrapping it to 1, which
+  // would pass the intra_depth <= 16 check.
+  for (const std::string member : {"min_size", "intra_depth"}) {
+    const std::string text = "{\"" + member + "\":4294967297}";
+    Result<QuerySpec> spec = ParseQueryText(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // In range: a whole number, written with or without a fraction.
+  Result<QuerySpec> ok = ParseQueryText(
+      "{\"sigma_min\":3.0,\"min_size\":4,\"max_evals\":4294967297}");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->options.min_support, 3u);
+  EXPECT_EQ(ok->options.quasi_clique.min_size, 4u);
+  EXPECT_EQ(ok->budget.max_evaluations, 4294967297u);
+  // A non-number is still reported as one.
+  Result<QuerySpec> text_value = ParseQueryText("{\"sigma_min\":\"3\"}");
+  ASSERT_FALSE(text_value.ok());
+  EXPECT_NE(text_value.status().message().find("must be a number"),
+            std::string::npos)
+      << text_value.status();
+}
+
+TEST(ServerTest, StatusAndCancelRangeCheckTheId) {
+  const AttributedGraph graph = RandomAttributed(42);
+  ServerOptions options;
+  options.threads = 1;
+  ScpmServer server(&graph, options);
+  server.Start();
+  for (const std::string op : {"status", "cancel"}) {
+    for (const std::string id : {"-1", "1.5", "1e300"}) {
+      const std::string request =
+          "{\"op\":\"" + op + "\",\"id\":" + id + "}";
+      Result<JsonValue> reply = JsonValue::Parse(server.HandleRequest(request));
+      ASSERT_TRUE(reply.ok());
+      EXPECT_FALSE(reply->BoolOr("ok", true)) << request;
+      EXPECT_EQ(reply->StringOr("code", ""), "invalid-argument") << request;
+    }
+    // A whole id that names no query is still not-found.
+    Result<JsonValue> missing = JsonValue::Parse(
+        server.HandleRequest("{\"op\":\"" + op + "\",\"id\":99}"));
+    ASSERT_TRUE(missing.ok());
+    EXPECT_EQ(missing->StringOr("code", ""), "not-found");
+  }
+}
+
 }  // namespace
 }  // namespace scpm

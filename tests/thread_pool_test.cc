@@ -1,6 +1,6 @@
 // Tests for the work-stealing thread pool: recursive fork/join from
-// inside tasks (the old Submit-and-Wait deadlock case), Wait semantics
-// under contention, group reuse, and worker identity.
+// inside tasks (the old submit-and-wait deadlock case), WaitFor
+// semantics under contention, group reuse, and worker identity.
 
 #include <atomic>
 #include <chrono>
@@ -105,15 +105,16 @@ TEST(ThreadPoolSpawnTest, GroupIsReusableAfterDraining) {
   }
 }
 
-TEST(ThreadPoolSpawnTest, WaitCoversGroupedAndUngroupedTasks) {
+TEST(ThreadPoolSpawnTest, InterleavedGroupsEachDrain) {
   ThreadPool pool(3);
-  ThreadPool::TaskGroup group;
+  ThreadPool::TaskGroup first, second;
   std::atomic<int> counter{0};
   for (int i = 0; i < 50; ++i) {
-    pool.Spawn(&group, [&counter] { counter.fetch_add(1); });
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.Spawn(&first, [&counter] { counter.fetch_add(1); });
+    pool.Spawn(&second, [&counter] { counter.fetch_add(1); });
   }
-  pool.Wait();
+  pool.WaitFor(&first);
+  pool.WaitFor(&second);
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -275,7 +276,6 @@ TEST(ThreadPoolStressTest, ContendedForkJoin) {
     });
   }
   pool.WaitFor(&top);
-  pool.Wait();
   long expected = 0;
   for (int i = 0; i < 16; ++i) {
     const int fanout = 1 + (i % 7);

@@ -373,40 +373,45 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SortedOpsSweep, ::testing::Range(0, 30));
 
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
+  ThreadPool::TaskGroup group;
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.Spawn(&group, [&counter] { counter.fetch_add(1); });
   }
-  pool.Wait();
+  pool.WaitFor(&group);
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
+TEST(ThreadPoolTest, WaitForIsReusable) {
   ThreadPool pool(2);
+  ThreadPool::TaskGroup group;
   std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
+  pool.Spawn(&group, [&counter] { counter.fetch_add(1); });
+  pool.WaitFor(&group);
   EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
+  pool.Spawn(&group, [&counter] { counter.fetch_add(1); });
+  pool.WaitFor(&group);
   EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
+  ThreadPool::TaskGroup group;
   std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
+  pool.Spawn(&group, [&ran] { ran = true; });
+  pool.WaitFor(&group);
   EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
   std::atomic<int> counter{0};
   {
+    // Declared before the pool, so it outlives the destructor's drain.
+    ThreadPool::TaskGroup group;
     ThreadPool pool(3);
     for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.Spawn(&group, [&counter] { counter.fetch_add(1); });
     }
   }
   EXPECT_EQ(counter.load(), 50);
