@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/occurrence.h"
 #include "graph/metrics.h"
 #include "graph/subgraph.h"
 #include "util/cancel.h"
@@ -33,8 +34,9 @@ using Key = std::vector<std::uint32_t>;
 /// One node of the attribute-set enumeration tree. The covered set K_S is
 /// not stored here: it lives in the shared CoveredSetCache while children
 /// may still need it for Theorem-3 pruning. Tidsets are hybrid: root
-/// classes borrow the graph-owned attribute tidsets, dense sets live as
-/// bitmaps, and intersections dispatch to the matching kernel.
+/// classes borrow the graph-owned attribute tidsets, children own the
+/// vertices occurrence deliver filed for them, and dense sets live as
+/// bitmaps.
 struct Node {
   AttributeSet items;
   HybridVertexSet tidset;  // V(S)
@@ -97,33 +99,55 @@ class CoveredSetCache {
   std::array<Shard, 16> shards_;
 };
 
-/// An evaluated equivalence class whose members may still be extended.
+/// The class premise: every member of an equivalence class is P + {l}
+/// for one sorted prefix P and strictly increasing last items l. So a
+/// member's tidset is T_P ∩ V(l), which occurrence deliver relies on.
+bool ExtendsClassPrefix(const AttributeSet& prev, const AttributeSet& next) {
+  return prev.size() == next.size() && !next.empty() &&
+         std::equal(prev.begin(), prev.end() - 1, next.begin()) &&
+         prev.back() < next.back();
+}
+
+/// An evaluated equivalence class whose members may still be extended,
+/// with the emission-key prefix its members' children extend.
 /// Destruction (when the last frontier entry referencing the class is
 /// consumed) evicts the members' covered sets from the cache.
 struct ClassNode {
-  explicit ClassNode(CoveredSetCache* cache) : cache(cache) {}
+  ClassNode(CoveredSetCache* cache, Key path)
+      : path(std::move(path)), cache(cache) {}
   ~ClassNode() {
     for (const Node& s : siblings) cache->Erase(s.items);
   }
   ClassNode(const ClassNode&) = delete;
   ClassNode& operator=(const ClassNode&) = delete;
 
+  /// Appends a member; members must keep the class premise.
+  void Append(Node node) {
+    SCPM_CHECK(siblings.empty() ||
+               ExtendsClassPrefix(siblings.back().items, node.items))
+        << "class members do not extend one prefix";
+    siblings.push_back(std::move(node));
+  }
+
   std::vector<Node> siblings;
+  const Key path;
   CoveredSetCache* cache;
 };
 
-/// Mutable per-worker scratch: a reusable quasi-clique miner and the
-/// induced-subgraph workspace feeding it. Counters do NOT live here —
-/// they flow through per-entry bundles so a cancelled entry's partial
-/// work leaves no trace.
+/// Mutable per-worker scratch: a reusable quasi-clique miner, the
+/// induced-subgraph workspace feeding it, and the occurrence-deliver
+/// buckets that build an expansion's child tidsets. Counters do NOT live
+/// here — they flow through per-entry bundles so a cancelled entry's
+/// partial work leaves no trace.
 struct WorkerState {
-  explicit WorkerState(const ScpmOptions& options)
-      : miner(options.miner_options()) {
+  WorkerState(const ScpmOptions& options, std::size_t num_attributes)
+      : miner(options.miner_options()), deliver(num_attributes) {
     miner.set_workspace(&workspace);
   }
 
   SubgraphWorkspace workspace;  // before miner: it must outlive it
   QuasiCliqueMiner miner;
+  OccurrenceDeliver deliver;
 };
 
 /// Deterministic counter deltas of one evaluation batch or one frontier
@@ -171,13 +195,12 @@ struct RootSlot {
 
 /// One unit of frontier work. cls == nullptr marks a root batch
 /// (evaluate singles[begin, end)); otherwise the entry expands
-/// cls->siblings[sibling] under emission-key prefix `path`.
+/// cls->siblings[sibling] under emission-key prefix cls->path.
 struct FrontierEntry {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::shared_ptr<ClassNode> cls;
   std::uint32_t sibling = 0;
-  Key path;
 };
 
 /// What one processed entry hands back to the driver at the wave barrier.
@@ -217,6 +240,14 @@ std::vector<std::pair<std::size_t, std::size_t>> PackBySize(
   return ranges;
 }
 
+/// Evaluations one frontier wave is filled to (see RunWave). A wave ends
+/// in a barrier, so it must be large enough to spread a lattice-bound
+/// run's cheap evaluations over the pool. It stays moderate because a
+/// wave widens the frontier, which a sliced (server) run re-seeds from
+/// its checkpoint at every slice; 4x larger waves bought ~6% more on a
+/// 50x Last.fm-like graph and ~1% more peak memory.
+constexpr std::uint64_t kWaveMass = 4096;
+
 /// One Run/Resume segment: owns the frontier, the pool, the caches, and
 /// the wave loop.
 class EngineRunner {
@@ -254,7 +285,8 @@ class EngineRunner {
                          : std::max<std::size_t>(1, options_.num_threads);
     states_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i) {
-      states_.push_back(std::make_unique<WorkerState>(options_));
+      states_.push_back(
+          std::make_unique<WorkerState>(options_, graph_.NumAttributes()));
     }
     for (const std::unique_ptr<WorkerState>& ws : states_) {
       ws->miner.set_parallel_context(pool_, intra_budget_);
@@ -376,10 +408,9 @@ class EngineRunner {
 
     phase_roots_ = false;
     std::vector<std::shared_ptr<ClassNode>> classes;
-    std::vector<const Key*> paths;
     classes.reserve(cp.classes.size());
     for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
-      auto cls = std::make_shared<ClassNode>(&cache_);
+      auto cls = std::make_shared<ClassNode>(&cache_, pc.path);
       for (const EngineCheckpoint::Member& m : pc.members) {
         if (m.items.empty()) {
           return Status::InvalidArgument("checkpoint class member is empty");
@@ -389,16 +420,11 @@ class EngineRunner {
           return Status::InvalidArgument(
               "checkpoint member attribute set unsorted or out of range");
         }
-        // Every class an expansion creates is {P + l} for one sorted
-        // prefix P and strictly increasing last items l.
-        if (!cls->siblings.empty()) {
-          const AttributeSet& prev = cls->siblings.back().items;
-          if (prev.size() != m.items.size() ||
-              !std::equal(prev.begin(), prev.end() - 1, m.items.begin()) ||
-              prev.back() >= m.items.back()) {
-            return Status::InvalidArgument(
-                "checkpoint class members do not extend one prefix");
-          }
+        // Every class an expansion creates keeps the class premise.
+        if (!cls->siblings.empty() &&
+            !ExtendsClassPrefix(cls->siblings.back().items, m.items)) {
+          return Status::InvalidArgument(
+              "checkpoint class members do not extend one prefix");
         }
         // Every attribute set belongs to exactly one class. A repeat
         // would share one cache slot between two classes, and the first
@@ -418,10 +444,9 @@ class EngineRunner {
         cache_.Insert(m.items, std::make_shared<const HybridVertexSet>(
                                    HybridVertexSet::FromVector(
                                        m.covered, SetUniverse(), nullptr)));
-        cls->siblings.push_back(std::move(node));
+        cls->Append(std::move(node));
       }
       classes.push_back(std::move(cls));
-      paths.push_back(&pc.path);
     }
     // Expanding member S creates exactly the sets that extend S as a
     // sorted prefix. A checkpoint that expands S twice, or already holds
@@ -442,7 +467,6 @@ class EngineRunner {
       FrontierEntry entry;
       entry.cls = classes[e.class_index];
       entry.sibling = e.sibling;
-      entry.path = *paths[e.class_index];
       frontier_.push_back(std::move(entry));
     }
     for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
@@ -633,12 +657,50 @@ class EngineRunner {
     return false;
   }
 
-  /// Pops up to frontier_wave entries off the frontier's back, processes
-  /// them in parallel, and folds the survivors at the barrier (in wave
-  /// order, so every fold is deterministic). Cancelled entries go back
-  /// whole.
+  /// Evaluations an entry can make: one per singleton of a root batch,
+  /// one per later sibling of an expansion (an upper bound: children
+  /// below min_support are never evaluated).
+  static std::uint64_t EntryMass(const FrontierEntry& entry) {
+    return entry.cls == nullptr ? entry.end - entry.begin
+                                : entry.cls->siblings.size() - entry.sibling - 1;
+  }
+
+  /// The mass a wave is filled to: kWaveMass, lowered to what is left of
+  /// the evaluation and pattern budgets. RunWave runs only while neither
+  /// budget is spent, so both differences are positive.
+  std::uint64_t WaveMassCap() const {
+    const EngineBudget& budget = env_.budget;
+    std::uint64_t cap = kWaveMass;
+    if (budget.max_evaluations != 0) {
+      cap = std::min(cap, budget.max_evaluations -
+                              total_.counters.attribute_sets_evaluated);
+    }
+    if (budget.max_patterns != 0) {
+      cap = std::min(cap, budget.max_patterns - patterns_emitted_);
+    }
+    return cap;
+  }
+
+  /// Pops entries off the frontier's back until their summed mass
+  /// reaches WaveMassCap() (at least one entry; at most frontier_wave
+  /// when that is set), processes them in parallel, and folds the
+  /// survivors at the barrier (in wave order, so every fold is
+  /// deterministic). The wave is a pure function of the frontier and the
+  /// counters, so budget cuts land at the same point for any thread
+  /// count, and a wave's mass exceeds what was left of a budget by less
+  /// than one entry's mass. Cancelled entries go back whole.
   void RunWave() {
-    const std::size_t n = std::min(frontier_.size(), env_.frontier_wave);
+    const std::size_t max_entries =
+        env_.frontier_wave == 0
+            ? frontier_.size()
+            : std::min(frontier_.size(), env_.frontier_wave);
+    const std::uint64_t cap = WaveMassCap();
+    std::size_t n = 0;
+    std::uint64_t mass = 0;
+    do {
+      mass += EntryMass(frontier_[frontier_.size() - 1 - n]);
+      ++n;
+    } while (n < max_entries && mass < cap);
     const std::size_t base = frontier_.size() - n;
     std::vector<FrontierEntry> entries(
         std::make_move_iterator(frontier_.begin() + base),
@@ -727,16 +789,31 @@ class EngineRunner {
     const std::vector<Node>& siblings = entry.cls->siblings;
     const std::size_t i = entry.sibling;
 
+    if (i + 1 >= siblings.size()) return;
+
+    // Children by occurrence deliver (core/occurrence.h): one pass over
+    // T_i files each vertex under the later siblings' last items, giving
+    // T_i ∩ T_j for every j. The scratch is this worker's and is cleared
+    // before the evaluation wait below, so no task it helps with there
+    // finds it in use.
+    OccurrenceDeliver& deliver = State().deliver;
+    for (std::size_t j = i + 1; j < siblings.size(); ++j) {
+      deliver.AddItem(siblings[j].items.back());
+    }
+    deliver.Deliver(graph_, siblings[i].tidset);
     std::vector<EvalSlot> slots;
     std::vector<std::size_t> js;
     SetOpStats* set_stats = BundleSetStats(&result->bundle);
     for (std::size_t j = i + 1; j < siblings.size(); ++j) {
+      const VertexSet& bucket = deliver.bucket(j - i - 1);
+      if (bucket.size() < options_.min_support) continue;
       EvalSlot slot;
-      SortedUnion(siblings[i].items, siblings[j].items, &slot.node.items);
-      HybridVertexSet::Intersect(siblings[i].tidset, siblings[j].tidset,
-                                 &slot.node.tidset, set_stats);
-      if (slot.node.tidset.size() < options_.min_support) continue;
-      slot.key = entry.path;
+      slot.node.items.reserve(siblings[i].items.size() + 1);
+      slot.node.items = siblings[i].items;
+      slot.node.items.push_back(siblings[j].items.back());
+      slot.node.tidset =
+          HybridVertexSet::FromVector(bucket, SetUniverse(), set_stats);
+      slot.key = entry.cls->path;
       slot.key.reserve(slot.key.size() + 3);
       slot.key.push_back(static_cast<std::uint32_t>(i));
       slot.key.push_back(0);
@@ -744,6 +821,7 @@ class EngineRunner {
       slots.push_back(std::move(slot));
       js.push_back(j);
     }
+    deliver.Clear();
     if (slots.empty()) return;
 
     const auto ranges = PackBySize(
@@ -777,11 +855,15 @@ class EngineRunner {
       if (!FlushSlot(&slot, result)) return;
     }
 
-    auto child_class = std::make_shared<ClassNode>(&cache_);
+    Key child_path = entry.cls->path;
+    child_path.push_back(static_cast<std::uint32_t>(i));
+    child_path.push_back(1);
+    auto child_class =
+        std::make_shared<ClassNode>(&cache_, std::move(child_path));
     for (EvalSlot& slot : slots) {
       if (!slot.extendable) continue;
       cache_.Insert(slot.node.items, std::move(slot.covered));
-      child_class->siblings.push_back(std::move(slot.node));
+      child_class->Append(std::move(slot.node));
     }
     result->bundle.counters.attribute_sets_extended +=
         child_class->siblings.size();
@@ -790,15 +872,11 @@ class EngineRunner {
             options_.max_attribute_set_size) {
       return;
     }
-    Key child_path = entry.path;
-    child_path.push_back(static_cast<std::uint32_t>(i));
-    child_path.push_back(1);
     result->children.reserve(child_class->siblings.size());
     for (std::size_t c = 0; c < child_class->siblings.size(); ++c) {
       FrontierEntry child;
       child.cls = child_class;
       child.sibling = static_cast<std::uint32_t>(c);
-      child.path = child_path;
       result->children.push_back(std::move(child));
     }
   }
@@ -1038,10 +1116,10 @@ class EngineRunner {
               [](const RootSlot* a, const RootSlot* b) {
                 return a->index < b->index;
               });
-    auto roots = std::make_shared<ClassNode>(&cache_);
+    auto roots = std::make_shared<ClassNode>(&cache_, Key{1});
     for (RootSlot* rs : extendable) {
       cache_.Insert(rs->slot.node.items, std::move(rs->slot.covered));
-      roots->siblings.push_back(std::move(rs->slot.node));
+      roots->Append(std::move(rs->slot.node));
     }
     total_.counters.attribute_sets_extended += roots->siblings.size();
     if (options_.max_attribute_set_size <= 1 || roots->siblings.size() < 2) {
@@ -1051,7 +1129,6 @@ class EngineRunner {
       FrontierEntry entry;
       entry.cls = roots;
       entry.sibling = static_cast<std::uint32_t>(i);
-      entry.path = Key{1};
       frontier_.push_back(std::move(entry));
     }
   }
@@ -1110,7 +1187,7 @@ class EngineRunner {
           entry.cls.get(), static_cast<std::uint32_t>(cp.classes.size()));
       if (inserted) {
         EngineCheckpoint::PendingClass pc;
-        pc.path = entry.path;
+        pc.path = entry.cls->path;
         for (const Node& node : entry.cls->siblings) {
           EngineCheckpoint::Member member;
           member.items = node.items;

@@ -5,11 +5,12 @@
 // ties the run's lifetime and memory to the whole lattice. This engine
 // makes the walk's state explicit — a deterministic work-list (the
 // *frontier*) of expansion entries, in the style of Galois worklists and
-// LTSmin exploration frontiers — and drains it in fixed-size waves on the
-// existing work-stealing pool. An entry expands one member of one
-// evaluated equivalence class: it evaluates the member's children,
-// finalizes the reported ones into the run's PatternSink, and appends the
-// extendable children's class back onto the frontier.
+// LTSmin exploration frontiers — and drains it in waves on the existing
+// work-stealing pool, each wave filled to a fixed evaluation mass. An
+// entry expands one member of one evaluated equivalence class: it builds
+// the member's children by occurrence deliver (core/occurrence.h),
+// evaluates them, finalizes the reported ones into the run's PatternSink,
+// and appends the extendable children's class back onto the frontier.
 //
 // What the explicit frontier buys:
 //
@@ -34,7 +35,7 @@
 // Determinism contract: with no budget, the engine's output through an
 // AccumulatingSink — rows, patterns, and the lattice and set-kernel
 // counters (see ScpmCounters) — is byte-identical for any thread count
-// and any frontier wave size. Traversal order changes (root batches
+// and any frontier wave cap. Traversal order changes (root batches
 // start heaviest first); the keyed emission order and the per-evaluation
 // arithmetic do not. Every resume seeds uncounted, so those counters
 // summed over a cut-and-resume chain also equal the uncut run's, whether
@@ -223,7 +224,7 @@ struct EngineProgress {
 /// are the way to fill it. Pointers are borrowed and may be null.
 struct EngineEnvironment {
   EngineBudget budget;
-  std::size_t frontier_wave = 16;
+  std::size_t frontier_wave = 0;  // entry cap per wave; 0 = none
   std::function<void(const EngineProgress&)> progress;
   std::uint64_t checkpoint_interval_ms = 0;
   std::function<void(const EngineCheckpoint&, const EngineProgress&)>
@@ -249,12 +250,13 @@ class ScpmEngine {
 
   void set_budget(EngineBudget budget) { env_.budget = budget; }
 
-  /// Entries drained per frontier wave. Budget checks happen between
-  /// waves, so this is the cut granularity; it never affects what an
-  /// uncut run mines. Thread-count independent by default on purpose.
-  void set_frontier_wave(std::size_t wave) {
-    env_.frontier_wave = wave == 0 ? 1 : wave;
-  }
+  /// Caps the entries one frontier wave drains (0, the default: no cap).
+  /// Waves are otherwise sized by evaluation mass, lowered to what is
+  /// left of the evaluation and pattern budgets; budget checks happen
+  /// between waves. A cap only makes cuts finer-grained (tests and
+  /// checkpoint benches use it); it never affects what an uncut run
+  /// mines, and no wave depends on the thread count.
+  void set_frontier_wave(std::size_t wave) { env_.frontier_wave = wave; }
 
   /// Observer invoked at every wave boundary (from the driving thread).
   void set_progress(std::function<void(const EngineProgress&)> progress) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <utility>
 
 #include "core/engine.h"
@@ -815,36 +816,66 @@ Status ScpmServer::Serve(const std::string& path) {
   // still reach the client.
   std::mutex clients_mutex;
   std::vector<int> clients;
-  std::vector<std::thread> connections;
+  // Connection threads by sequence number. A finished thread queues its
+  // number in `finished` (under clients_mutex); the accept loop joins
+  // those before serving the next client, so the map holds live
+  // connections only and an exited thread's stack is released instead
+  // of staying mapped until shutdown.
+  std::map<std::uint64_t, std::thread> connections;
+  std::vector<std::uint64_t> finished;
+  std::uint64_t next_connection = 0;
+  const auto reap_finished = [&] {
+    std::vector<std::uint64_t> done;
+    {
+      std::lock_guard<std::mutex> lock(clients_mutex);
+      done.swap(finished);
+    }
+    for (const std::uint64_t id : done) {
+      auto it = connections.find(id);
+      it->second.join();
+      connections.erase(it);
+    }
+  };
   while (true) {
     pollfd fds[2] = {{fd, POLLIN, 0}, {wake_pipe[0], POLLIN, 0}};
     if (::poll(fds, 2, -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (fds[1].revents != 0) break;  // Shutdown() woke us
+    if (fds[1].revents != 0) {
+      // Shutdown() woke us. Reading its byte orders its write before
+      // the close of the pipe below.
+      char byte;
+      [[maybe_unused]] const ssize_t n = ::read(wake_pipe[0], &byte, 1);
+      break;
+    }
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;
     }
+    reap_finished();
     {
       std::lock_guard<std::mutex> lock(clients_mutex);
       clients.push_back(client);
     }
-    connections.emplace_back([this, client, &clients_mutex, &clients] {
-      ServeConnection(client);
-      std::lock_guard<std::mutex> lock(clients_mutex);
-      clients.erase(std::find(clients.begin(), clients.end(), client));
-      ::close(client);
-    });
+    const std::uint64_t id = next_connection++;
+    connections.emplace(
+        id, std::thread([this, client, id, &clients_mutex, &clients,
+                         &finished] {
+          ServeConnection(client);
+          std::lock_guard<std::mutex> lock(clients_mutex);
+          clients.erase(std::find(clients.begin(), clients.end(), client));
+          ::close(client);
+          finished.push_back(id);
+        }));
   }
   {
     std::lock_guard<std::mutex> lock(clients_mutex);
     for (const int client : clients) ::shutdown(client, SHUT_RD);
   }
-  for (std::thread& t : connections) t.join();
+  for (auto& [id, t] : connections) t.join();
   serve_wake_fd_.store(-1);
   ::close(wake_pipe[0]);
   ::close(wake_pipe[1]);

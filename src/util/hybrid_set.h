@@ -1,9 +1,10 @@
 // Hybrid sparse-vector / dense-bitmap vertex sets.
 //
-// Every hot path of the pipeline — Eclat/Apriori tidset extension, SCPM
-// lattice expansion, Theorem-3 universe pruning, induced-subgraph
-// construction — bottoms out in pairwise intersection of sorted VertexSet
-// vectors. HybridVertexSet stores each set in whichever of two
+// Every hot path of the pipeline — Eclat/Apriori tidset extension,
+// Theorem-3 universe pruning, induced-subgraph construction — bottoms
+// out in pairwise intersection of sorted VertexSet vectors (SCPM's own
+// lattice builds child tidsets by occurrence deliver instead; see
+// core/occurrence.h). HybridVertexSet stores each set in whichever of two
 // representations the *density rule* picks and dispatches intersections
 // to the matching kernel:
 //
@@ -24,6 +25,7 @@
 #ifndef SCPM_UTIL_HYBRID_SET_H_
 #define SCPM_UTIL_HYBRID_SET_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -165,6 +167,22 @@ class HybridVertexSet {
 
   /// Appends the members in ascending order.
   void AppendTo(VertexSet* out) const;
+
+  /// Calls fn(v) for every member in ascending order (ctz scan over the
+  /// words when dense), without materializing the set.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    if (!dense_) {
+      for (VertexId v : sorted()) fn(v);
+      return;
+    }
+    const std::uint64_t* words = bits_.data();
+    for (std::size_t w = 0; w < bits_.num_words(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<VertexId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
 
   /// Sorted materialization (the API-boundary representation).
   VertexSet ToVector() const;

@@ -1,9 +1,10 @@
 // Tests for the frontier-driven engine and its sinks: accumulating-sink
 // byte-identity against the classic Mine() across thread counts and
 // kernel toggles, budget cut + checkpoint + resume output-union equality
-// (paper example and randomized synthetic graphs, both phases), deadline
-// behavior, checkpoint (de)serialization robustness, and the streaming
-// sinks' contracts.
+// (paper example and randomized synthetic graphs, both phases), cut
+// points of the default work-sized waves across thread counts, child
+// tidsets built by occurrence deliver, deadline behavior, checkpoint
+// (de)serialization robustness, and the streaming sinks' contracts.
 
 #include <algorithm>
 #include <map>
@@ -16,11 +17,13 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/occurrence.h"
 #include "core/scpm.h"
 #include "core/sink.h"
 #include "datasets/paper_example.h"
 #include "graph/attributed_graph.h"
 #include "nullmodel/expectation.h"
+#include "util/hybrid_set.h"
 #include "util/random.h"
 
 namespace scpm {
@@ -581,6 +584,232 @@ TEST(CheckpointResumeTest, DeadlineCutResumesToSameUnion) {
   }
   SortCanonical(&united);
   ExpectSameUnion(uncut, std::move(united));
+}
+
+// ------------------------------------------- wave sizing and cut points
+
+/// What one segment of a budget-cut chain left behind: its evaluation
+/// count and, when cut, its serialized checkpoint.
+struct CutSegment {
+  std::uint64_t evaluated = 0;
+  std::string checkpoint;
+};
+
+/// Runs a budget-cut chain to exhaustion with the engine's default waves
+/// (no set_frontier_wave), returning the union and the summed counters
+/// plus each segment's cut point. Every wave, read off the progress hook,
+/// must evaluate fewer sets than what was left of the budget when it
+/// started plus `entry_mass`, a bound on one frontier entry's mass.
+std::pair<ScpmResult, std::vector<CutSegment>> RunDefaultWaveChain(
+    const AttributedGraph& g, const ScpmOptions& options,
+    const EngineBudget& budget, std::uint64_t entry_mass) {
+  ScpmResult united;
+  std::vector<CutSegment> segments;
+  EngineCheckpoint checkpoint;
+  while (segments.size() < 10000) {
+    ScpmEngine engine(options);
+    engine.set_budget(budget);
+    EngineProgress before;
+    engine.set_progress([&](const EngineProgress& p) {
+      const std::uint64_t left =
+          budget.max_evaluations != 0
+              ? budget.max_evaluations - before.evaluations
+              : budget.max_patterns - before.patterns_emitted;
+      EXPECT_LT(p.evaluations - before.evaluations, left + entry_mass);
+      before = p;
+    });
+    AccumulatingSink sink;
+    Result<MiningRun> run = segments.empty()
+                                ? engine.Run(g, &sink)
+                                : engine.Resume(g, checkpoint, &sink);
+    EXPECT_TRUE(run.ok()) << run.status();
+    if (!run.ok()) break;
+    ScpmResult segment = sink.TakeResult();
+    united.counters.MergeFrom(run->counters);
+    for (auto& s : segment.attribute_sets) {
+      united.attribute_sets.push_back(std::move(s));
+    }
+    for (auto& p : segment.patterns) united.patterns.push_back(std::move(p));
+    CutSegment cut;
+    cut.evaluated = run->counters.attribute_sets_evaluated;
+    if (!run->exhausted) cut.checkpoint = run->checkpoint.Serialize();
+    segments.push_back(cut);
+    if (run->exhausted) break;
+    Result<EngineCheckpoint> restored = EngineCheckpoint::Parse(cut.checkpoint);
+    EXPECT_TRUE(restored.ok()) << restored.status();
+    if (!restored.ok()) break;
+    checkpoint = std::move(restored).value();
+  }
+  SortCanonical(&united);
+  return {std::move(united), std::move(segments)};
+}
+
+/// A lattice with a few levels: 8 attributes on 40 vertices.
+ScpmOptions WaveOptions() {
+  ScpmOptions options;
+  options.quasi_clique.gamma = 0.5;
+  options.quasi_clique.min_size = 3;
+  options.min_support = 3;
+  options.min_epsilon = 0.0;
+  options.top_k = 3;
+  return options;
+}
+
+/// No entry makes more evaluations than there are frequent singletons: a
+/// root batch holds at most all of them, and a class never has more
+/// members than the root class.
+std::uint64_t MaxEntryMass(const AttributedGraph& g,
+                           const ScpmOptions& options) {
+  std::uint64_t singles = 0;
+  for (AttributeId a = 0; a < g.NumAttributes(); ++a) {
+    if (g.VerticesWith(a).size() >= options.min_support) ++singles;
+  }
+  return singles;
+}
+
+/// With the default work-sized waves, a budget cut lands at the same
+/// point (evaluation count and checkpoint bytes, segment by segment) for
+/// every thread count, overshoots the budget by less than one entry's
+/// mass, and the chain's union and summed counters equal the uncut run.
+void ExpectDefaultWaveCutsDeterministic(const EngineBudget& budget) {
+  const AttributedGraph g = RandomAttributed(5, /*n=*/40, /*num_attrs=*/8,
+                                             /*edge_p=*/0.25, /*attr_p=*/0.5);
+  const ScpmOptions options = WaveOptions();
+  const ScpmResult uncut = EngineAccumulate(g, options);
+  const std::uint64_t mass = MaxEntryMass(g, options);
+  std::vector<CutSegment> reference;
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ScpmOptions cell = options;
+    cell.num_threads = threads;
+    auto [united, segments] = RunDefaultWaveChain(g, cell, budget, mass);
+    ASSERT_GE(segments.size(), 3u) << "budget never cut the run";
+    if (budget.max_evaluations != 0) {
+      for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
+        EXPECT_GE(segments[s].evaluated, budget.max_evaluations);
+        EXPECT_LT(segments[s].evaluated, budget.max_evaluations + mass);
+      }
+    }
+    if (threads == 1) {
+      reference = segments;
+    } else {
+      ASSERT_EQ(segments.size(), reference.size());
+      for (std::size_t s = 0; s < segments.size(); ++s) {
+        EXPECT_EQ(segments[s].evaluated, reference[s].evaluated) << s;
+        EXPECT_EQ(segments[s].checkpoint, reference[s].checkpoint) << s;
+      }
+    }
+    ExpectSameCounters(uncut.counters, united.counters);
+    ExpectSameUnion(uncut, std::move(united));
+  }
+}
+
+TEST(WaveCutTest, EvalBudgetCutsAreThreadIndependentWithDefaultWaves) {
+  for (std::uint64_t max_evals : {2u, 9u, 40u}) {
+    SCOPED_TRACE("max_evaluations " + std::to_string(max_evals));
+    EngineBudget budget;
+    budget.max_evaluations = max_evals;
+    ExpectDefaultWaveCutsDeterministic(budget);
+  }
+}
+
+TEST(WaveCutTest, PatternBudgetCutsAreThreadIndependentWithDefaultWaves) {
+  for (std::uint64_t max_patterns : {1u, 6u}) {
+    SCOPED_TRACE("max_patterns " + std::to_string(max_patterns));
+    EngineBudget budget;
+    budget.max_patterns = max_patterns;
+    ExpectDefaultWaveCutsDeterministic(budget);
+  }
+}
+
+// ------------------------------------------------- occurrence deliver
+
+/// Walks every frequent class below `cls` (members in `items` with their
+/// tidsets), building each member's children by occurrence deliver, and
+/// checks every child tidset against the graph's own V(S). Counts the
+/// members delivered from a dense tidset.
+void WalkAndCheckChildren(const AttributedGraph& g, VertexId universe,
+                          std::size_t min_support,
+                          const std::vector<AttributeSet>& items,
+                          const std::vector<HybridVertexSet>& tidsets,
+                          OccurrenceDeliver* deliver,
+                          std::size_t* dense_parents, std::size_t* children) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (tidsets[i].dense()) ++*dense_parents;
+    for (std::size_t j = i + 1; j < items.size(); ++j) {
+      deliver->AddItem(items[j].back());
+    }
+    deliver->Deliver(g, tidsets[i]);
+    std::vector<AttributeSet> child_items;
+    std::vector<HybridVertexSet> child_tidsets;
+    for (std::size_t j = i + 1; j < items.size(); ++j) {
+      AttributeSet child = items[i];
+      child.push_back(items[j].back());
+      const VertexSet& bucket = deliver->bucket(j - i - 1);
+      EXPECT_EQ(bucket, g.VerticesWithAll(child));
+      ++*children;
+      if (bucket.size() < min_support) continue;
+      child_items.push_back(std::move(child));
+      child_tidsets.push_back(
+          HybridVertexSet::FromVector(bucket, universe, nullptr));
+    }
+    deliver->Clear();
+    WalkAndCheckChildren(g, universe, min_support, child_items, child_tidsets,
+                         deliver, dense_parents, children);
+  }
+}
+
+/// Every child tidset occurrence deliver builds equals
+/// VerticesWithAll(items), over whole lattices of the randomized engine
+/// graphs, with hybrid storage on (dense parents iterated as bitmaps) and
+/// off. The engine's rows agree: every reported support is |V(S)|.
+TEST(OccurrenceDeliverTest, ChildTidsetsEqualVerticesWithAll) {
+  struct Shape {
+    int seed;
+    VertexId n;
+    int attrs;
+    double edge_p;
+    double attr_p;
+  };
+  // The graphs of the resume, dense-chain and sink-equivalence tests.
+  for (const Shape& shape :
+       {Shape{5, 40, 8, 0.25, 0.5}, Shape{23, 96, 6, 0.15, 0.5},
+        Shape{31, 120, 4, 0.08, 0.6}, Shape{3, 30, 5, 0.3, 0.4}}) {
+    const AttributedGraph g = RandomAttributed(
+        shape.seed, shape.n, shape.attrs, shape.edge_p, shape.attr_p);
+    for (bool hybrid : {true, false}) {
+      SCOPED_TRACE("seed " + std::to_string(shape.seed) + " hybrid " +
+                   std::to_string(hybrid));
+      const VertexId universe = hybrid ? g.NumVertices() : 0;
+      std::vector<AttributeSet> roots;
+      std::vector<HybridVertexSet> tidsets;
+      for (AttributeId a = 0; a < g.NumAttributes(); ++a) {
+        if (g.VerticesWith(a).size() < 3) continue;
+        roots.push_back({a});
+        tidsets.push_back(HybridVertexSet::View(&g.VerticesWith(a), universe));
+        tidsets.back().Normalize(nullptr);
+      }
+      OccurrenceDeliver deliver(g.NumAttributes());
+      std::size_t dense_parents = 0;
+      std::size_t children = 0;
+      WalkAndCheckChildren(g, universe, /*min_support=*/3, roots, tidsets,
+                           &deliver, &dense_parents, &children);
+      EXPECT_GT(children, roots.size());
+      if (!hybrid) {
+        EXPECT_EQ(dense_parents, 0u);
+      } else if (shape.n >= 96) {
+        EXPECT_GT(dense_parents, 0u);
+      }
+
+      ScpmOptions options = WaveOptions();
+      options.use_hybrid_sets = hybrid;
+      const ScpmResult mined = EngineAccumulate(g, options);
+      ASSERT_FALSE(mined.attribute_sets.empty());
+      for (const AttributeSetStats& row : mined.attribute_sets) {
+        EXPECT_EQ(row.support, g.VerticesWithAll(row.attributes).size());
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ checkpoint validation

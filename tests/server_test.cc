@@ -3,17 +3,20 @@
 // hot, deterministic admission-control rejection at the configured queue
 // depth, cancellation of queued and running queries, streaming sinks
 // through the server, the wire protocol via HandleRequest, the socket
-// front end's request-line cap, and memo-disabled operation. The
-// concurrency tests run under TSan in CI.
+// front end's request-line cap and its reaping of closed connections'
+// threads, and memo-disabled operation. The concurrency tests run under
+// TSan in CI.
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -520,6 +523,81 @@ TEST(ServerTest, OverlongRequestLineIsRejectedTypedAndClosed) {
   ASSERT_TRUE(stop.ok());
   EXPECT_TRUE(stop->BoolOr("ok", false));
   ::close(fresh);
+}
+
+/// Entries under /proc/self/task: the process's live threads.
+std::size_t LiveThreads() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+/// The process's mapped address space (VmSize), in bytes. A thread that
+/// exited without being joined keeps its stack mapped here.
+std::size_t MappedBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoull(line.substr(7)) * 1024;  // reported in kB
+    }
+  }
+  return 0;
+}
+
+/// Connection threads are reaped as their connections close: after 200
+/// sequential one-request connections the thread count is back near
+/// where it started, and the address space has not kept a stack per
+/// connection ever accepted.
+TEST(ServerTest, ClosedConnectionsLeaveNoThreadsBehind) {
+  const AttributedGraph graph = RandomAttributed(42);
+  ServerOptions options;
+  options.threads = 2;
+  ScpmServer server(&graph, options);
+  server.Start();
+  const std::string path = "./server_test_reap_" + std::to_string(::getpid());
+  std::thread serve([&] { EXPECT_TRUE(server.Serve(path).ok()); });
+  struct StopOnExit {
+    ScpmServer* server;
+    std::thread* serve;
+    ~StopOnExit() {
+      server->Shutdown();
+      serve->join();
+    }
+  } stop_on_exit{&server, &serve};
+
+  const auto one_request = [&path] {
+    const int fd = ConnectWithRetry(path);
+    ASSERT_GE(fd, 0);
+    SendQuietly(fd, "{\"op\":\"stats\"}\n");
+    Result<JsonValue> stats = JsonValue::Parse(ReadLine(fd));
+    ::close(fd);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_TRUE(stats->BoolOr("ok", false));
+  };
+  one_request();  // the server is up and has served once
+  const std::size_t threads_before = LiveThreads();
+  const std::size_t mapped_before = MappedBytes();
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) one_request();
+
+  // The last connection's thread may still be on its way out.
+  for (int wait = 0; wait < 200 && LiveThreads() > threads_before + 1;
+       ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(LiveThreads(), threads_before + 1);
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  // Unjoined, the 200 exited threads would keep 200 stacks mapped.
+  EXPECT_LT(MappedBytes(), mapped_before + kConnections / 10 * stack_bytes);
 }
 
 TEST(ServerTest, MemoDisabledStillMatchesDirectMine) {
