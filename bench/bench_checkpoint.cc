@@ -26,7 +26,6 @@ scpm::ScpmOptions CiteseerOptions() {
   o.min_support = 5;
   o.min_epsilon = 0.0;
   o.top_k = 3;
-  o.eval_batch_grain = 0;  // fine-grained batches so cuts land mid-phase
   return o;
 }
 
@@ -42,7 +41,6 @@ scpm::EngineCheckpoint CutFrontier(const scpm::AttributedGraph& graph,
   for (int segment = 0; segment < 100000; ++segment) {
     scpm::ScpmEngine engine(options, nullptr);
     engine.set_budget(budget);
-    engine.set_frontier_wave(4);
     scpm::AccumulatingSink sink;
     scpm::Result<scpm::MiningRun> run =
         segment == 0 ? engine.Run(graph, &sink)

@@ -27,6 +27,30 @@ function(expect_usage_error binary label)
   endif()
 endfunction()
 
+# A malformed numeric (or enumerated) flag value is a usage error whose
+# message names the flag, caught while the flags are parsed: no file is
+# read and no thread is started. Extra arguments go before the flag.
+function(expect_bad_value binary flag value)
+  execute_process(
+    COMMAND ${binary} edges.txt attrs.txt ${ARGN} ${flag} ${value}
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR
+            "${flag} ${value}: expected exit 2, got ${code}\n${err}")
+  endif()
+  if(NOT err MATCHES "usage:")
+    message(FATAL_ERROR "${flag} ${value}: stderr lacks usage text:\n${err}")
+  endif()
+  string(FIND "${err}" "${flag} expects" malformed)
+  string(FIND "${err}" "unknown ${flag}: ${value}" unknown_word)
+  if(malformed EQUAL -1 AND unknown_word EQUAL -1)
+    message(FATAL_ERROR
+            "${flag} ${value}: error does not name the flag:\n${err}")
+  endif()
+endfunction()
+
 function(expect_help binary label)
   execute_process(
     COMMAND ${binary} --help
@@ -58,6 +82,19 @@ expect_usage_error(${CLI} "bad sink value" edges.txt attrs.txt --sink csv)
 expect_usage_error(${CLI} "bad scope value" edges.txt attrs.txt
                    --scope everything)
 expect_help(${CLI} "scpm_cli")
+# One malformed value per numeric flag: junk, trailing text, a negative
+# number (atoll used to wrap it to ~2^64), an overflow, a non-finite
+# real; and an unknown --order word (it used to mean dfs).
+foreach(case IN ITEMS
+    "--gamma;0.5x" "--min-size;4294967296" "--sigma-min;-5"
+    "--eps-min;abc" "--delta-min;nan" "--top-k;5k" "--order;xyz"
+    "--threads;-1" "--intra-min;1e3" "--intra-depth;-12" "--hybrid;yes"
+    "--top-n;+" "--deadline-ms;-100" "--max-evals;18446744073709551616"
+    "--max-patterns;1.5" "--checkpoint-interval-ms;10ms")
+  list(GET case 0 flag)
+  list(GET case 1 value)
+  expect_bad_value(${CLI} ${flag} ${value})
+endforeach()
 # --help wins no matter where it appears.
 execute_process(
   COMMAND ${CLI} edges.txt attrs.txt --help
@@ -99,6 +136,21 @@ if(DEFINED SERVE_CLI)
   expect_usage_error(${SERVE_CLI} "serve: flag missing value" edges.txt
                      attrs.txt --socket)
   expect_help(${SERVE_CLI} "scpm_serve_cli")
+  # Negative counts, junk, and sizes past their cap: --threads,
+  # --max-concurrent and --memo-shards above 1,024 (the num_threads cap
+  # of ScpmOptions::Validate), and a --memo-mb whose byte count
+  # (MiB << 20) would overflow.
+  foreach(case IN ITEMS
+      "--threads;-1" "--threads;1025" "--max-concurrent;-1"
+      "--max-concurrent;100000" "--queue-depth;lots" "--memo-mb;-64"
+      "--memo-mb;17592186044416" "--memo-shards;-1" "--memo-shards;4096"
+      "--slice-ms;5.5" "--slice-evals;-1" "--default-deadline-ms;1s"
+      "--checkpoint-interval-ms;-1000")
+    list(GET case 0 flag)
+    list(GET case 1 value)
+    expect_bad_value(${SERVE_CLI} ${flag} ${value}
+                     --socket /tmp/scpm-cli-test.sock)
+  endforeach()
   # An uncreatable --state-dir must fail fast as a usage error, before
   # the graph loads or the socket binds (/dev/null can't parent a dir).
   expect_usage_error(${SERVE_CLI} "serve: uncreatable state dir" edges.txt

@@ -18,7 +18,6 @@
 //                      pattern per attribute set)
 //   --order dfs|bfs    candidate search order
 //   --threads 1        worker threads (output is identical for any count)
-//   --batch-grain 256  tidset mass per evaluation task (0 = one per task)
 //   --intra-min 512    |G(S)| at which one coverage search decomposes
 //                      into parallel branch tasks (0 = never)
 //   --intra-depth 12   decomposition depth of the intra-search tasks
@@ -43,7 +42,9 @@
 //
 // Exit codes: 0 = lattice exhausted, 3 = budget cut the run (checkpoint
 // written if --checkpoint was given), 1 = runtime error, 2 = usage error.
-// Unknown flags and flags missing their value are usage errors.
+// Unknown flags, flags missing their value, and values that are not a
+// number of the flag's kind (junk, trailing text, a negative count, an
+// overflow, an unknown --scope/--order/--sink word) are usage errors.
 
 #include <cstdio>
 #include <cstdlib>
@@ -58,17 +59,21 @@
 #include "core/request.h"
 #include "core/scpm.h"
 #include "core/statistics.h"
+#include "cli_flags.h"
 #include "graph/io.h"
 #include "nullmodel/expectation.h"
 #include "util/timer.h"
 
 namespace {
 
+using scpm_cli::ParseReal;
+using scpm_cli::ParseWhole;
+
 void Usage() {
   std::cerr << "usage: scpm_cli <edges.txt> <attrs.txt> [--gamma G] "
                "[--min-size S] [--sigma-min N] [--eps-min E] "
                "[--delta-min D] [--top-k K] [--scope topk|maximal] "
-               "[--order dfs|bfs] [--threads T] [--batch-grain W] "
+               "[--order dfs|bfs] [--threads T] "
                "[--intra-min U] [--intra-depth D] [--hybrid 0|1] "
                "[--top-n N] "
                "[--sink accumulate|jsonl] [--out FILE] [--deadline-ms MS] "
@@ -102,8 +107,6 @@ void Help() {
       "\n"
       "Performance options (never change what is mined):\n"
       "  --threads T        worker threads (1)\n"
-      "  --batch-grain W    tidset mass per evaluation task; 0 = one\n"
-      "                     evaluation per task (256)\n"
       "  --intra-min U      |G(S)| at which one coverage search decomposes\n"
       "                     into parallel branch tasks; 0 = never (512)\n"
       "  --intra-depth D    decomposition depth of intra-search tasks (12)\n"
@@ -173,19 +176,19 @@ int main(int argc, char** argv) {
       return 2;
     }
     const char* value = argv[i + 1];
+    bool ok = true;
     if (flag == "--gamma") {
-      options.quasi_clique.gamma = std::atof(value);
+      ok = ParseReal(flag, value, &options.quasi_clique.gamma);
     } else if (flag == "--min-size") {
-      options.quasi_clique.min_size =
-          static_cast<std::uint32_t>(std::atoi(value));
+      ok = ParseWhole(flag, value, &options.quasi_clique.min_size);
     } else if (flag == "--sigma-min") {
-      options.min_support = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.min_support);
     } else if (flag == "--eps-min") {
-      options.min_epsilon = std::atof(value);
+      ok = ParseReal(flag, value, &options.min_epsilon);
     } else if (flag == "--delta-min") {
-      options.min_delta = std::atof(value);
+      ok = ParseReal(flag, value, &options.min_delta);
     } else if (flag == "--top-k") {
-      options.top_k = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.top_k);
     } else if (flag == "--scope") {
       if (std::strcmp(value, "maximal") == 0) {
         options.pattern_scope = scpm::PatternScope::kAllMaximal;
@@ -197,23 +200,26 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (flag == "--order") {
-      options.search_order = std::strcmp(value, "bfs") == 0
-                                 ? scpm::SearchOrder::kBfs
-                                 : scpm::SearchOrder::kDfs;
+      if (std::strcmp(value, "bfs") == 0) {
+        options.search_order = scpm::SearchOrder::kBfs;
+      } else if (std::strcmp(value, "dfs") == 0) {
+        options.search_order = scpm::SearchOrder::kDfs;
+      } else {
+        std::cerr << "unknown --order: " << value << "\n";
+        ok = false;
+      }
     } else if (flag == "--threads") {
-      options.num_threads = static_cast<std::size_t>(std::atoll(value));
-    } else if (flag == "--batch-grain") {
-      options.eval_batch_grain = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.num_threads);
     } else if (flag == "--intra-min") {
-      options.intra_search_min_universe =
-          static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.intra_search_min_universe);
     } else if (flag == "--intra-depth") {
-      options.intra_search_spawn_depth =
-          static_cast<std::uint32_t>(std::atoi(value));
+      ok = ParseWhole(flag, value, &options.intra_search_spawn_depth);
     } else if (flag == "--hybrid") {
-      options.use_hybrid_sets = std::atoi(value) != 0;
+      std::uint64_t hybrid = 0;
+      ok = ParseWhole(flag, value, &hybrid);
+      options.use_hybrid_sets = hybrid != 0;
     } else if (flag == "--top-n") {
-      top_n = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &top_n);
     } else if (flag == "--sink") {
       if (std::strcmp(value, "accumulate") == 0) {
         request.sink = scpm::MiningRequest::Sink::kAccumulate;
@@ -227,19 +233,22 @@ int main(int argc, char** argv) {
     } else if (flag == "--out") {
       out_path = value;
     } else if (flag == "--deadline-ms") {
-      budget.deadline_ms = static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &budget.deadline_ms);
     } else if (flag == "--max-evals") {
-      budget.max_evaluations = static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &budget.max_evaluations);
     } else if (flag == "--max-patterns") {
-      budget.max_patterns = static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &budget.max_patterns);
     } else if (flag == "--checkpoint") {
       checkpoint_path = value;
     } else if (flag == "--checkpoint-interval-ms") {
-      checkpoint_interval_ms = static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &checkpoint_interval_ms);
     } else if (flag == "--resume") {
       resume_path = value;
     } else {
       std::cerr << "unknown flag: " << flag << "\n";
+      ok = false;
+    }
+    if (!ok) {
       Usage();
       return 2;
     }

@@ -10,18 +10,28 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "cli_flags.h"
 #include "graph/io.h"
 #include "server/server.h"
 
 namespace {
+
+using scpm_cli::ParseWhole;
+
+/// Cap on --threads, --max-concurrent and --memo-shards: each sizes a set
+/// of threads or locks, and 1,024 is the cap ScpmOptions::Validate puts
+/// on num_threads.
+constexpr std::uint64_t kMaxWorkers = 1024;
 
 void Usage() {
   std::cerr << "usage: scpm_serve_cli <edges.txt> <attrs.txt> --socket PATH "
@@ -117,33 +127,37 @@ int main(int argc, char** argv) {
       return 2;
     }
     const char* value = argv[i + 1];
+    bool ok = true;
     if (flag == "--socket") {
       socket_path = value;
     } else if (flag == "--threads") {
-      options.threads = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.threads, kMaxWorkers);
     } else if (flag == "--max-concurrent") {
-      options.max_concurrent = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.max_concurrent, kMaxWorkers);
     } else if (flag == "--queue-depth") {
-      options.queue_depth = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.queue_depth);
     } else if (flag == "--memo-mb") {
-      options.memo.max_bytes =
-          static_cast<std::size_t>(std::atoll(value)) << 20;
+      std::size_t mb = 0;
+      ok = ParseWhole(flag, value, &mb,
+                      std::numeric_limits<std::size_t>::max() >> 20);
+      options.memo.max_bytes = mb << 20;
     } else if (flag == "--memo-shards") {
-      options.memo.num_shards = static_cast<std::size_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.memo.num_shards, kMaxWorkers);
     } else if (flag == "--slice-ms") {
-      options.slice_ms = static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.slice_ms);
     } else if (flag == "--slice-evals") {
-      options.slice_evals = static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.slice_evals);
     } else if (flag == "--default-deadline-ms") {
-      options.default_deadline_ms =
-          static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.default_deadline_ms);
     } else if (flag == "--state-dir") {
       options.state_dir = value;
     } else if (flag == "--checkpoint-interval-ms") {
-      options.checkpoint_interval_ms =
-          static_cast<std::uint64_t>(std::atoll(value));
+      ok = ParseWhole(flag, value, &options.checkpoint_interval_ms);
     } else {
       std::cerr << "unknown flag: " << flag << "\n";
+      ok = false;
+    }
+    if (!ok) {
       Usage();
       return 2;
     }

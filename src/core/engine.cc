@@ -150,10 +150,10 @@ struct WorkerState {
   OccurrenceDeliver deliver;
 };
 
-/// Deterministic counter deltas of one evaluation batch or one frontier
-/// entry, folded up the tree at barriers (batch -> entry -> engine
-/// totals) in a fixed order. Cancelled entries discard theirs, so engine
-/// totals reflect exactly the completed entries.
+/// Deterministic counter deltas of one frontier entry, folded into the
+/// engine totals at the wave barrier in a fixed order. Cancelled entries
+/// discard theirs, so engine totals reflect exactly the completed
+/// entries.
 struct CounterBundle {
   ScpmCounters counters;
   SetOpStats set_ops;
@@ -185,7 +185,7 @@ struct EvalSlot {
 };
 
 /// A frequent singleton: its fixed emission index plus its evaluation
-/// slot, filled by the root-batch entry covering it.
+/// slot, filled by its root entry.
 struct RootSlot {
   std::uint32_t index = 0;  // position in the frequent-singleton list
   AttributeId attr = 0;
@@ -193,12 +193,11 @@ struct RootSlot {
   EvalSlot slot;
 };
 
-/// One unit of frontier work. cls == nullptr marks a root batch
-/// (evaluate singles[begin, end)); otherwise the entry expands
-/// cls->siblings[sibling] under emission-key prefix cls->path.
+/// One unit of frontier work, and the only lattice task. cls == nullptr
+/// marks a root entry (evaluate singles[single]); otherwise the entry
+/// expands cls->siblings[sibling] under emission-key prefix cls->path.
 struct FrontierEntry {
-  std::size_t begin = 0;
-  std::size_t end = 0;
+  std::size_t single = 0;
   std::shared_ptr<ClassNode> cls;
   std::uint32_t sibling = 0;
 };
@@ -211,34 +210,6 @@ struct EntryResult {
   std::uint64_t patterns_emitted = 0;  // patterns across those sets
   std::vector<FrontierEntry> children;  // in sibling (key) order
 };
-
-/// Entry-scoped cancellation latch shared by an entry's evaluation tasks.
-struct EntryCtx {
-  std::atomic<bool> cancelled{false};
-};
-
-/// Greedy pack of `count` consecutive items into index ranges: items
-/// share a range until their tidset sizes (`size_of(i)`, at least 1
-/// each) reach `grain`; grain 0 gives one item per range. A pure function
-/// of the sizes, so the launch plan — and every counter it feeds — is
-/// identical for every thread count.
-template <typename SizeOf>
-std::vector<std::pair<std::size_t, std::size_t>> PackBySize(
-    std::size_t count, std::size_t grain, SizeOf size_of) {
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  std::size_t begin = 0;
-  std::size_t weight = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    weight += std::max<std::size_t>(1, size_of(i));
-    if (grain == 0 || weight >= grain) {
-      ranges.emplace_back(begin, i + 1);
-      begin = i + 1;
-      weight = 0;
-    }
-  }
-  if (begin < count) ranges.emplace_back(begin, count);
-  return ranges;
-}
 
 /// Evaluations one frontier wave is filled to (see RunWave). A wave ends
 /// in a barrier, so it must be large enough to spread a lattice-bound
@@ -295,7 +266,7 @@ class EngineRunner {
   }
 
   /// Seeds the frontier with the frequent singletons (paper Algorithm 2
-  /// line 1), pre-batched into root entries.
+  /// line 1), one root entry each.
   void SeedFresh() {
     phase_roots_ = true;
     for (AttributeId a = 0; a < graph_.NumAttributes(); ++a) {
@@ -304,15 +275,7 @@ class EngineRunner {
       rs.index = static_cast<std::uint32_t>(singles_.size());
       rs.attr = a;
       singles_.push_back(std::move(rs));
-    }
-    // Batch by tidset mass exactly like child evaluations, one frontier
-    // entry per batch.
-    for (const auto& [begin, end] :
-         PackBySize(singles_.size(), options_.eval_batch_grain,
-                    [this](std::size_t s) {
-                      return graph_.VerticesWith(singles_[s].attr).size();
-                    })) {
-      PushRootEntry(begin, end);
+      PushRootEntry(singles_.size() - 1);
     }
     OrderRootsLargestFirst();
   }
@@ -392,15 +355,16 @@ class EngineRunner {
             HybridVertexSet::FromVector(dr.covered, SetUniverse(), nullptr));
         singles_.push_back(std::move(rs));
       }
+      // This engine writes one singleton per batch; a batch of several
+      // (older checkpoints) becomes one root entry per singleton.
       for (const EngineCheckpoint::PendingRootBatch& batch : cp.root_batches) {
-        const std::size_t begin = singles_.size();
         for (std::size_t k = 0; k < batch.attrs.size(); ++k) {
           RootSlot rs;
           rs.index = batch.indices[k];
           rs.attr = batch.attrs[k];
           singles_.push_back(std::move(rs));
+          PushRootEntry(singles_.size() - 1);
         }
-        PushRootEntry(begin, singles_.size());
       }
       OrderRootsLargestFirst();
       return Status::OK();
@@ -549,19 +513,6 @@ class EngineRunner {
   }
 
  private:
-  /// Runs `fn` inline (sequential mode) or as a pool task.
-  void Launch(ThreadPool::TaskGroup* group, std::function<void()> fn) {
-    if (pool_ != nullptr) {
-      pool_->Spawn(group, std::move(fn));
-    } else {
-      fn();
-    }
-  }
-
-  void Await(ThreadPool::TaskGroup* group) {
-    if (pool_ != nullptr) pool_->WaitFor(group);
-  }
-
   /// Waits out one wave. With a deadline, the wait is bounded: on timeout
   /// the token latches and the wait resumes — every search polls the
   /// token, so the remaining tasks unwind within a candidate's work each.
@@ -577,34 +528,29 @@ class EngineRunner {
     }
   }
 
-  void PushRootEntry(std::size_t begin, std::size_t end) {
+  void PushRootEntry(std::size_t single) {
     FrontierEntry entry;
-    entry.begin = begin;
-    entry.end = end;
+    entry.single = single;
     frontier_.push_back(std::move(entry));
   }
 
-  /// Orders the pending root batches so that RunWave, which pops from the
+  /// Orders the pending root entries so that RunWave, which pops from the
   /// back, starts the heaviest first. Singletons have no parents, so root
   /// evaluations are independent and only their start order moves: the
   /// largest coverage searches, which set the critical path, share the
   /// first wave instead of landing in later waves one after the other.
-  /// Weight is the summed tidset size; ties go to the lower `begin`, so
-  /// the order is total. FormRootClass re-sorts by emission index, so
-  /// class layout and keys do not depend on this order.
+  /// Weight is the tidset size; ties go to the lower `single`, so the
+  /// order is total. FormRootClass re-sorts by emission index, so class
+  /// layout and keys do not depend on this order.
   void OrderRootsLargestFirst() {
-    std::vector<std::size_t> prefix(singles_.size() + 1, 0);
-    for (std::size_t s = 0; s < singles_.size(); ++s) {
-      prefix[s + 1] = prefix[s] + graph_.VerticesWith(singles_[s].attr).size();
-    }
-    const auto mass = [&prefix](const FrontierEntry& e) {
-      return prefix[e.end] - prefix[e.begin];
+    const auto weight = [this](const FrontierEntry& e) {
+      return graph_.VerticesWith(singles_[e.single].attr).size();
     };
     std::sort(frontier_.begin(), frontier_.end(),
-              [&mass](const FrontierEntry& a, const FrontierEntry& b) {
-                const std::size_t ma = mass(a);
-                const std::size_t mb = mass(b);
-                return ma != mb ? ma < mb : a.begin > b.begin;
+              [&weight](const FrontierEntry& a, const FrontierEntry& b) {
+                const std::size_t wa = weight(a);
+                const std::size_t wb = weight(b);
+                return wa != wb ? wa < wb : a.single > b.single;
               });
   }
 
@@ -657,11 +603,11 @@ class EngineRunner {
     return false;
   }
 
-  /// Evaluations an entry can make: one per singleton of a root batch,
-  /// one per later sibling of an expansion (an upper bound: children
-  /// below min_support are never evaluated).
+  /// Evaluations an entry can make: one for a root, one per later
+  /// sibling of an expansion (an upper bound: children below min_support
+  /// are never evaluated).
   static std::uint64_t EntryMass(const FrontierEntry& entry) {
-    return entry.cls == nullptr ? entry.end - entry.begin
+    return entry.cls == nullptr ? 1
                                 : entry.cls->siblings.size() - entry.sibling - 1;
   }
 
@@ -682,25 +628,20 @@ class EngineRunner {
   }
 
   /// Pops entries off the frontier's back until their summed mass
-  /// reaches WaveMassCap() (at least one entry; at most frontier_wave
-  /// when that is set), processes them in parallel, and folds the
-  /// survivors at the barrier (in wave order, so every fold is
-  /// deterministic). The wave is a pure function of the frontier and the
-  /// counters, so budget cuts land at the same point for any thread
+  /// reaches WaveMassCap() (at least one entry), runs each as one task,
+  /// and folds the survivors at the barrier (in wave order, so every fold
+  /// is deterministic). The wave is a pure function of the frontier and
+  /// the counters, so budget cuts land at the same point for any thread
   /// count, and a wave's mass exceeds what was left of a budget by less
   /// than one entry's mass. Cancelled entries go back whole.
   void RunWave() {
-    const std::size_t max_entries =
-        env_.frontier_wave == 0
-            ? frontier_.size()
-            : std::min(frontier_.size(), env_.frontier_wave);
     const std::uint64_t cap = WaveMassCap();
     std::size_t n = 0;
     std::uint64_t mass = 0;
     do {
       mass += EntryMass(frontier_[frontier_.size() - 1 - n]);
       ++n;
-    } while (n < max_entries && mass < cap);
+    } while (n < frontier_.size() && mass < cap);
     const std::size_t base = frontier_.size() - n;
     std::vector<FrontierEntry> entries(
         std::make_move_iterator(frontier_.begin() + base),
@@ -710,9 +651,14 @@ class EngineRunner {
     std::vector<EntryResult> results(n);
     ThreadPool::TaskGroup group;
     for (std::size_t i = 0; i < n; ++i) {
-      Launch(&group, [this, &entries, &results, i] {
+      auto task = [this, &entries, &results, i] {
         ProcessEntry(&entries[i], &results[i]);
-      });
+      };
+      if (pool_ != nullptr) {
+        pool_->Spawn(&group, std::move(task));
+      } else {
+        task();
+      }
     }
     AwaitWave(&group);
 
@@ -722,11 +668,7 @@ class EngineRunner {
         frontier_.push_back(std::move(entries[i]));
         continue;
       }
-      if (entries[i].cls == nullptr) {
-        for (std::size_t s = entries[i].begin; s < entries[i].end; ++s) {
-          singles_[s].done = true;
-        }
-      }
+      if (entries[i].cls == nullptr) singles_[entries[i].single].done = true;
       total_.MergeFrom(r.bundle);
       emitted_ += r.emitted;
       patterns_emitted_ += r.patterns_emitted;
@@ -742,50 +684,38 @@ class EngineRunner {
       return;
     }
     if (entry->cls == nullptr) {
-      ProcessRootBatch(*entry, result);
+      ProcessRoot(*entry, result);
     } else {
       ProcessExpansion(*entry, result);
     }
   }
 
-  /// Evaluates one pre-batched range of frequent singletons (emission
-  /// keys {0, index}) and flushes the reported ones.
-  void ProcessRootBatch(const FrontierEntry& entry, EntryResult* result) {
-    EntryCtx ctx;
-    result->bundle.counters.evaluation_batches += 1;
-    for (std::size_t s = entry.begin; s < entry.end; ++s) {
-      if (token_.cancelled() || has_error_.load()) {
-        ctx.cancelled.store(true, std::memory_order_relaxed);
-        break;
-      }
-      RootSlot& rs = singles_[s];
-      rs.slot = EvalSlot();  // reset: the entry may be a re-run after a cut
-      rs.slot.node.items = {rs.attr};
-      // Borrow the graph-owned tidset: promoting a dense root to its
-      // bitmap happens inside this (parallel) entry, sharding the
-      // root-class build across the pool.
-      rs.slot.node.tidset =
-          HybridVertexSet::View(&graph_.VerticesWith(rs.attr), SetUniverse());
-      rs.slot.key = Key{0, rs.index};
-      EvaluateNode(&rs.slot, nullptr, nullptr, &result->bundle, &ctx);
-      if (ctx.cancelled.load(std::memory_order_relaxed)) break;
-    }
-    if (has_error_.load() || ctx.cancelled.load(std::memory_order_relaxed) ||
-        token_.cancelled()) {
+  /// Evaluates one frequent singleton (emission key {0, index}) and
+  /// flushes it when reported.
+  void ProcessRoot(const FrontierEntry& entry, EntryResult* result) {
+    RootSlot& rs = singles_[entry.single];
+    rs.slot = EvalSlot();  // reset: the entry may be a re-run after a cut
+    rs.slot.node.items = {rs.attr};
+    // Borrow the graph-owned tidset: promoting a dense root to its
+    // bitmap happens inside this (parallel) entry, sharding the
+    // root-class build across the pool.
+    rs.slot.node.tidset =
+        HybridVertexSet::View(&graph_.VerticesWith(rs.attr), SetUniverse());
+    rs.slot.key = Key{0, rs.index};
+    bool cancelled = false;
+    EvaluateNode(&rs.slot, nullptr, nullptr, &result->bundle, &cancelled);
+    if (cancelled || has_error_.load() || token_.cancelled()) {
       result->cancelled = true;
       return;
     }
-    for (std::size_t s = entry.begin; s < entry.end; ++s) {
-      if (!FlushSlot(&singles_[s].slot, result)) return;
-    }
+    FlushSlot(&rs.slot, result);
   }
 
   /// Expands sibling i of class `entry.cls` (paper Algorithm 3):
-  /// evaluates the children it generates with later siblings, flushes the
-  /// reported ones, and hands the extendable children back as a new class
-  /// worth of frontier entries.
+  /// evaluates the children it generates with later siblings, one after
+  /// the other on this worker, flushes the reported ones, and hands the
+  /// extendable children back as a new class worth of frontier entries.
   void ProcessExpansion(const FrontierEntry& entry, EntryResult* result) {
-    EntryCtx ctx;
     const std::vector<Node>& siblings = entry.cls->siblings;
     const std::size_t i = entry.sibling;
 
@@ -794,8 +724,7 @@ class EngineRunner {
     // Children by occurrence deliver (core/occurrence.h): one pass over
     // T_i files each vertex under the later siblings' last items, giving
     // T_i ∩ T_j for every j. The scratch is this worker's and is cleared
-    // before the evaluation wait below, so no task it helps with there
-    // finds it in use.
+    // before the evaluations start.
     OccurrenceDeliver& deliver = State().deliver;
     for (std::size_t j = i + 1; j < siblings.size(); ++j) {
       deliver.AddItem(siblings[j].items.back());
@@ -824,33 +753,16 @@ class EngineRunner {
     deliver.Clear();
     if (slots.empty()) return;
 
-    const auto ranges = PackBySize(
-        slots.size(), options_.eval_batch_grain,
-        [&slots](std::size_t s) { return slots[s].node.tidset.size(); });
-    result->bundle.counters.evaluation_batches += ranges.size();
-    std::vector<CounterBundle> batch_bundles(ranges.size());
-    ThreadPool::TaskGroup evals;
-    for (std::size_t r = 0; r < ranges.size(); ++r) {
-      Launch(&evals, [this, &siblings, &slots, &js, &batch_bundles, &ctx, i,
-                      r, begin = ranges[r].first, end = ranges[r].second] {
-        for (std::size_t s = begin; s < end; ++s) {
-          if (token_.cancelled() || has_error_.load() ||
-              ctx.cancelled.load(std::memory_order_relaxed)) {
-            ctx.cancelled.store(true, std::memory_order_relaxed);
-            return;
-          }
-          EvaluateNode(&slots[s], &siblings[i].items, &siblings[js[s]].items,
-                       &batch_bundles[r], &ctx);
-        }
-      });
+    bool cancelled = false;
+    for (std::size_t s = 0; s < slots.size() && !cancelled; ++s) {
+      if (token_.cancelled() || has_error_.load()) break;
+      EvaluateNode(&slots[s], &siblings[i].items, &siblings[js[s]].items,
+                   &result->bundle, &cancelled);
     }
-    Await(&evals);
-    if (has_error_.load() || ctx.cancelled.load(std::memory_order_relaxed) ||
-        token_.cancelled()) {
+    if (cancelled || has_error_.load() || token_.cancelled()) {
       result->cancelled = true;
       return;
     }
-    for (const CounterBundle& b : batch_bundles) result->bundle.MergeFrom(b);
     for (EvalSlot& slot : slots) {
       if (!FlushSlot(&slot, result)) return;
     }
@@ -902,10 +814,10 @@ class EngineRunner {
   /// Computes K_S / eps / delta for a node, records it (and its patterns)
   /// into the slot when it passes the thresholds, and decides
   /// extendability per Theorems 4 and 5. A cancelled quasi-clique search
-  /// latches ctx->cancelled instead of erroring.
+  /// sets *cancelled instead of erroring.
   void EvaluateNode(EvalSlot* slot, const AttributeSet* parent_a,
                     const AttributeSet* parent_b, CounterBundle* bundle,
-                    EntryCtx* ctx) {
+                    bool* cancelled) {
     if (has_error_.load()) return;
     WorkerState& ws = State();
     SetOpStats* set_stats = BundleSetStats(bundle);
@@ -983,7 +895,7 @@ class EngineRunner {
     if (!covered.ok()) {
       ws.workspace.Recycle(std::move(sub).value());
       if (covered.status().code() == StatusCode::kCancelled) {
-        ctx->cancelled.store(true, std::memory_order_relaxed);
+        *cancelled = true;
       } else {
         RecordError(covered.status());
       }
@@ -1018,7 +930,7 @@ class EngineRunner {
         if (!status.ok()) {
           ws.workspace.Recycle(std::move(sub).value());
           if (status.code() == StatusCode::kCancelled) {
-            ctx->cancelled.store(true, std::memory_order_relaxed);
+            *cancelled = true;
           } else {
             RecordError(std::move(status));
           }
@@ -1173,10 +1085,8 @@ class EngineRunner {
       }
       for (const FrontierEntry& entry : frontier_) {
         EngineCheckpoint::PendingRootBatch batch;
-        for (std::size_t s = entry.begin; s < entry.end; ++s) {
-          batch.indices.push_back(singles_[s].index);
-          batch.attrs.push_back(singles_[s].attr);
-        }
+        batch.indices.push_back(singles_[entry.single].index);
+        batch.attrs.push_back(singles_[entry.single].attr);
         cp.root_batches.push_back(std::move(batch));
       }
       return cp;

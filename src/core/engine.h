@@ -34,12 +34,12 @@
 //
 // Determinism contract: with no budget, the engine's output through an
 // AccumulatingSink — rows, patterns, and the lattice and set-kernel
-// counters (see ScpmCounters) — is byte-identical for any thread count
-// and any frontier wave cap. Traversal order changes (root batches
-// start heaviest first); the keyed emission order and the per-evaluation
-// arithmetic do not. Every resume seeds uncounted, so those counters
-// summed over a cut-and-resume chain also equal the uncut run's, whether
-// the chain resumed in-process, from disk, or after a crash.
+// counters (see ScpmCounters) — is byte-identical for any thread count.
+// Traversal order changes (roots start heaviest first); the keyed
+// emission order and the per-evaluation arithmetic do not. Every resume
+// seeds uncounted, so those counters summed over a cut-and-resume chain
+// also equal the uncut run's, whether the chain resumed in-process, from
+// disk, or after a crash.
 
 #ifndef SCPM_CORE_ENGINE_H_
 #define SCPM_CORE_ENGINE_H_
@@ -145,8 +145,10 @@ class EngineCheckpoint {
     std::uint32_t class_index = 0;
     std::uint32_t sibling = 0;
   };
-  /// One pending root (singleton) evaluation batch; `indices` are the
-  /// positions in the frequent-singleton list (they fix emission keys).
+  /// Pending root (singleton) evaluations; `indices` are the positions in
+  /// the frequent-singleton list (they fix emission keys). The engine
+  /// writes one singleton per batch and resumes a batch of several as
+  /// one root entry per singleton.
   struct PendingRootBatch {
     std::vector<std::uint32_t> indices;
     std::vector<AttributeId> attrs;
@@ -224,7 +226,6 @@ struct EngineProgress {
 /// are the way to fill it. Pointers are borrowed and may be null.
 struct EngineEnvironment {
   EngineBudget budget;
-  std::size_t frontier_wave = 0;  // entry cap per wave; 0 = none
   std::function<void(const EngineProgress&)> progress;
   std::uint64_t checkpoint_interval_ms = 0;
   std::function<void(const EngineCheckpoint&, const EngineProgress&)>
@@ -249,14 +250,6 @@ class ScpmEngine {
   const ScpmOptions& options() const { return options_; }
 
   void set_budget(EngineBudget budget) { env_.budget = budget; }
-
-  /// Caps the entries one frontier wave drains (0, the default: no cap).
-  /// Waves are otherwise sized by evaluation mass, lowered to what is
-  /// left of the evaluation and pattern budgets; budget checks happen
-  /// between waves. A cap only makes cuts finer-grained (tests and
-  /// checkpoint benches use it); it never affects what an uncut run
-  /// mines, and no wave depends on the thread count.
-  void set_frontier_wave(std::size_t wave) { env_.frontier_wave = wave; }
 
   /// Observer invoked at every wave boundary (from the driving thread).
   void set_progress(std::function<void(const EngineProgress&)> progress) {

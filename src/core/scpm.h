@@ -75,28 +75,22 @@ struct ScpmOptions {
   /// parameter-sensitivity experiments, which ignore the pattern lists).
   bool collect_patterns = true;
 
-  /// Worker threads for the enumeration. Attribute-set evaluations and
-  /// subtree expansions at every lattice level become tasks on a
-  /// work-stealing pool, so one heavy attribute subtree no longer
-  /// serializes the run. Output (attribute sets, patterns, and the
+  /// Worker threads for the enumeration. Each frontier entry (one
+  /// frequent singleton, or one class member's expansion with all its
+  /// children) is one task on a work-stealing pool, so one heavy
+  /// attribute subtree no longer serializes the run. Output (attribute sets, patterns, and the
   /// lattice and set-kernel counters) is byte-identical to the sequential
   /// order for any thread count; the quasi-clique work counters are not
   /// (see ScpmCounters).
   /// Requires a thread-safe null model (both bundled models are).
   std::size_t num_threads = 1;
 
-  /// Adaptive task granularity, lattice side: consecutive child
-  /// evaluations are packed into one task until their tidset sizes sum
-  /// to this grain, so lattices with many small tidsets stop paying one
-  /// task (and one steal) per child. 0 keeps one evaluation per task.
-  std::size_t eval_batch_grain = 256;
-
-  /// Adaptive task granularity, subgraph side: an evaluation whose
-  /// search universe |G(S)| reaches this size decomposes its coverage
-  /// quasi-clique search into intra-search branch tasks on the same pool
-  /// (borrowing the shared parallelism budget from its sibling
-  /// evaluations), so a small lattice with huge induced subgraphs still
-  /// saturates the workers. 0 disables intra-search parallelism. The
+  /// Adaptive task granularity: an evaluation whose search universe
+  /// |G(S)| reaches this size decomposes its coverage quasi-clique search
+  /// into intra-search branch tasks on the same pool (borrowing the
+  /// shared parallelism budget from the other entries' evaluations), so
+  /// a small lattice with huge induced subgraphs still saturates the
+  /// workers. 0 disables intra-search parallelism. The
   /// threshold compares against deterministic quantities only, so output
   /// and the lattice counters remain byte-identical for any num_threads.
   std::size_t intra_search_min_universe = 512;
@@ -124,8 +118,7 @@ struct ScpmOptions {
 };
 
 /// Mining-effort counters, all exact for the run. The lattice counters —
-/// evaluated, reported, extended, evaluation_batches,
-/// intra_search_evaluations — and the set-kernel counters depend only on
+/// evaluated, reported, extended, intra_search_evaluations — and the set-kernel counters depend only on
 /// the input and the options, never on thread count or timing. The
 /// quasi-clique work counters — coverage_candidates, intra_branch_tasks —
 /// depend on how intra-search branch tasks were scheduled (see
@@ -136,9 +129,6 @@ struct ScpmCounters {
   std::uint64_t attribute_sets_reported = 0;
   std::uint64_t attribute_sets_extended = 0;
   std::uint64_t coverage_candidates = 0;  // summed miner candidates
-  /// Evaluation tasks launched after batching (= evaluations when
-  /// eval_batch_grain is 0).
-  std::uint64_t evaluation_batches = 0;
   /// Evaluations whose universe met intra_search_min_universe.
   std::uint64_t intra_search_evaluations = 0;
   /// Intra-search branch tasks that ran, in total.
@@ -158,7 +148,6 @@ struct ScpmCounters {
     attribute_sets_reported += other.attribute_sets_reported;
     attribute_sets_extended += other.attribute_sets_extended;
     coverage_candidates += other.coverage_candidates;
-    evaluation_batches += other.evaluation_batches;
     intra_search_evaluations += other.intra_search_evaluations;
     intra_branch_tasks += other.intra_branch_tasks;
     bitmap_intersections += other.bitmap_intersections;

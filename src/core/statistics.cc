@@ -47,7 +47,6 @@ std::string FormatScpmCounters(const ScpmCounters& counters) {
      << " reported=" << counters.attribute_sets_reported
      << " extended=" << counters.attribute_sets_extended
      << " candidates=" << counters.coverage_candidates
-     << " batches=" << counters.evaluation_batches
      << " intra_evals=" << counters.intra_search_evaluations
      << " intra_tasks=" << counters.intra_branch_tasks
      << " bitmap_isects=" << counters.bitmap_intersections
@@ -62,7 +61,6 @@ std::string ScpmCountersJson(const ScpmCounters& counters) {
      << ",\"attribute_sets_reported\":" << counters.attribute_sets_reported
      << ",\"attribute_sets_extended\":" << counters.attribute_sets_extended
      << ",\"coverage_candidates\":" << counters.coverage_candidates
-     << ",\"evaluation_batches\":" << counters.evaluation_batches
      << ",\"intra_search_evaluations\":" << counters.intra_search_evaluations
      << ",\"intra_branch_tasks\":" << counters.intra_branch_tasks
      << ",\"bitmap_intersections\":" << counters.bitmap_intersections

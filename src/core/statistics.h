@@ -27,9 +27,8 @@ struct OutputSummary {
 OutputSummary SummarizeOutput(const std::vector<AttributeSetStats>& stats);
 
 /// One-line human-readable rendering of the engine counters, e.g.
-/// "evaluated=12 reported=7 extended=5 candidates=3301 batches=4
-/// intra_evals=1 intra_tasks=33 bitmap_isects=90 gallop_isects=2
-/// dense_convs=7".
+/// "evaluated=12 reported=7 extended=5 candidates=3301 intra_evals=1
+/// intra_tasks=33 bitmap_isects=90 gallop_isects=2 dense_convs=7".
 std::string FormatScpmCounters(const ScpmCounters& counters);
 
 /// The same counters as a flat JSON object (keys match the field names);

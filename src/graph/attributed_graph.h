@@ -85,6 +85,12 @@ class AttributedGraphBuilder {
 
   VertexId num_vertices() const { return graph_builder_.num_vertices(); }
 
+  /// Raises the vertex count to at least `n`.
+  void GrowTo(VertexId n) {
+    graph_builder_.GrowTo(n);
+    if (vertex_attrs_.size() < n) vertex_attrs_.resize(n);
+  }
+
   void AddEdge(VertexId u, VertexId v) { graph_builder_.AddEdge(u, v); }
 
   /// Interns an attribute name, returning its dense id (stable across

@@ -7,6 +7,7 @@
 #ifndef SCPM_GRAPH_GRAPH_H_
 #define SCPM_GRAPH_GRAPH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -83,6 +84,9 @@ class GraphBuilder {
       : num_vertices_(num_vertices) {}
 
   VertexId num_vertices() const { return num_vertices_; }
+
+  /// Raises the vertex count to at least `n`.
+  void GrowTo(VertexId n) { num_vertices_ = std::max(num_vertices_, n); }
 
   /// Records an undirected edge; duplicates and self-loops are tolerated
   /// here and cleaned up in Build().

@@ -60,13 +60,13 @@ Status LineError(const std::string& path, std::size_t line_no,
   return Status::IoError(path + ":" + std::to_string(line_no) + ": " + what);
 }
 
-}  // namespace
-
-Result<Graph> LoadEdgeList(const std::string& path) {
+/// Reads an edge list in one pass, handing each edge to `add(u, v)`, and
+/// returns the vertex count the edges name (max id + 1; 0 for none).
+template <typename AddEdge>
+Result<VertexId> ReadEdges(const std::string& path, AddEdge add) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
 
-  std::vector<Edge> edges;
   VertexId max_id = 0;
   bool any_vertex = false;
   std::string line;
@@ -84,12 +84,21 @@ Result<Graph> LoadEdgeList(const std::string& path) {
     Status parsed = ParseVertexId(tu, &u);
     if (parsed.ok()) parsed = ParseVertexId(tv, &v);
     if (!parsed.ok()) return LineError(path, line_no, parsed.message());
-    edges.push_back({u, v});
+    add(u, v);
     max_id = std::max({max_id, u, v});
     any_vertex = true;
   }
-  const VertexId n = any_vertex ? max_id + 1 : 0;
-  return Graph::FromEdges(n, std::move(edges));
+  return any_vertex ? max_id + 1 : 0;
+}
+
+}  // namespace
+
+Result<Graph> LoadEdgeList(const std::string& path) {
+  std::vector<Edge> edges;
+  Result<VertexId> n = ReadEdges(
+      path, [&edges](VertexId u, VertexId v) { edges.push_back({u, v}); });
+  if (!n.ok()) return n.status();
+  return Graph::FromEdges(*n, std::move(edges));
 }
 
 Status SaveEdgeList(const Graph& graph, const std::string& path) {
@@ -104,14 +113,18 @@ Status SaveEdgeList(const Graph& graph, const std::string& path) {
 
 Result<AttributedGraph> LoadAttributedGraph(const std::string& graph_path,
                                             const std::string& attr_path) {
-  Result<Graph> graph = LoadEdgeList(graph_path);
-  if (!graph.ok()) return graph.status();
+  // The vertex count is the largest id either file names, plus one: a
+  // vertex may carry attributes without touching any edge.
+  AttributedGraphBuilder builder(0);
+  Result<VertexId> n =
+      ReadEdges(graph_path, [&builder](VertexId u, VertexId v) {
+        builder.AddEdge(u, v);
+      });
+  if (!n.ok()) return n.status();
+  builder.GrowTo(*n);
 
   std::ifstream in(attr_path);
   if (!in) return Status::IoError("cannot open " + attr_path);
-
-  AttributedGraphBuilder builder(graph->NumVertices());
-  for (const Edge& e : graph->Edges()) builder.AddEdge(e.u, e.v);
 
   std::string line;
   std::size_t line_no = 0;
@@ -124,9 +137,7 @@ Result<AttributedGraph> LoadAttributedGraph(const std::string& graph_path,
     if (Status parsed = ParseVertexId(token, &v); !parsed.ok()) {
       return LineError(attr_path, line_no, parsed.message());
     }
-    if (v >= graph->NumVertices()) {
-      return LineError(attr_path, line_no, "vertex id out of range");
-    }
+    builder.GrowTo(v + 1);
     for (std::string_view name = NextToken(&rest); !name.empty();
          name = NextToken(&rest)) {
       SCPM_RETURN_IF_ERROR(builder.AddVertexAttribute(v, name));

@@ -30,7 +30,10 @@ Result<Graph> LoadEdgeList(const std::string& path);
 /// Writes "u v" lines in canonical order.
 Status SaveEdgeList(const Graph& graph, const std::string& path);
 
-/// Loads an attributed graph from an edge-list file plus an attribute file.
+/// Loads an attributed graph from an edge-list file plus an attribute
+/// file ("v name1 name2 ..." lines), reading each file once. The vertex
+/// count is the largest id either file names, plus one, so a vertex with
+/// attributes but no edge loads as an isolated vertex.
 Result<AttributedGraph> LoadAttributedGraph(const std::string& graph_path,
                                             const std::string& attr_path);
 

@@ -176,7 +176,11 @@ Status ScpmServer::Recover() {
   }
 
   for (const RecoveredQuery& q : scan.queries) {
-    Result<QuerySpec> parsed = ParseQuerySpec(q.query);
+    // Journals written while the retired "batch_grain" perf knob existed
+    // carry it in every admit record; it never changed what was mined.
+    JsonValue query = q.query;
+    if (query.is_object()) query.MutableObject()->erase("batch_grain");
+    Result<QuerySpec> parsed = ParseQuerySpec(query);
     if (!parsed.ok()) {
       // Covers both malformed JSON members and well-formed specs that
       // fail Validate() (ParseQuerySpec is the single gate); the typed

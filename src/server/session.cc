@@ -110,7 +110,6 @@ JsonValue CountersToJson(const ScpmCounters& counters) {
   out.Set("attribute_sets_extended",
           JsonValue(counters.attribute_sets_extended));
   out.Set("coverage_candidates", JsonValue(counters.coverage_candidates));
-  out.Set("evaluation_batches", JsonValue(counters.evaluation_batches));
   out.Set("intra_search_evaluations",
           JsonValue(counters.intra_search_evaluations));
   out.Set("intra_branch_tasks", JsonValue(counters.intra_branch_tasks));
@@ -187,9 +186,6 @@ Result<QuerySpec> ParseQuerySpec(const JsonValue& query) {
           ReadWhole(value, key, &spec.options.min_report_size));
     } else if (key == "collect_patterns") {
       spec.options.collect_patterns = value.AsBool();
-    } else if (key == "batch_grain") {
-      SCPM_RETURN_IF_ERROR(
-          ReadWhole(value, key, &spec.options.eval_batch_grain));
     } else if (key == "intra_min") {
       SCPM_RETURN_IF_ERROR(
           ReadWhole(value, key, &spec.options.intra_search_min_universe));
@@ -263,8 +259,6 @@ JsonValue QuerySpecToJson(const QuerySpec& spec) {
   out.Set("min_report_size",
           JsonValue(std::uint64_t{spec.options.min_report_size}));
   out.Set("collect_patterns", JsonValue(spec.options.collect_patterns));
-  out.Set("batch_grain",
-          JsonValue(std::uint64_t{spec.options.eval_batch_grain}));
   out.Set("intra_min",
           JsonValue(std::uint64_t{spec.options.intra_search_min_universe}));
   out.Set("intra_depth",
@@ -574,13 +568,13 @@ bool QuerySession::ExecuteSlice(ThreadPool* pool,
     return true;
   }
 
-  // Every completed entry leaves a trace (evaluations, an evaluation
-  // batch, an emission, or a frontier-size change); a first segment
-  // always progresses (it at least forms the root classes).
+  // Every completed entry leaves a trace (evaluations, an emission, or
+  // a frontier-size change: an entry that evaluates nothing adds no
+  // children); a first segment always progresses (it at least forms the
+  // root classes).
   const bool progress =
       !resumed || segment->exhausted || segment->emitted > 0 ||
       segment->counters.attribute_sets_evaluated > 0 ||
-      segment->counters.evaluation_batches > 0 ||
       segment->frontier_entries != prev_frontier;
   if (progress) {
     stall_factor_ = 1;

@@ -182,14 +182,12 @@ EngineCheckpoint CutCheckpoint(const AttributedGraph& g,
   options.min_support = 3;
   options.min_epsilon = 0.0;
   options.top_k = 2;
-  options.eval_batch_grain = 0;  // one evaluation per task: cuts are fine
   EngineBudget budget;
   budget.max_evaluations = max_evaluations;
   EngineCheckpoint checkpoint;
   for (int segment = 0; segment < 10000; ++segment) {
     ScpmEngine engine(options, nullptr);
     engine.set_budget(budget);
-    engine.set_frontier_wave(2);
     AccumulatingSink sink;
     Result<MiningRun> run = segment == 0
                                 ? engine.Run(g, &sink)

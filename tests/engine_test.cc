@@ -73,7 +73,6 @@ void ExpectSameCounters(const ScpmCounters& a, const ScpmCounters& b) {
   EXPECT_EQ(a.attribute_sets_evaluated, b.attribute_sets_evaluated);
   EXPECT_EQ(a.attribute_sets_reported, b.attribute_sets_reported);
   EXPECT_EQ(a.attribute_sets_extended, b.attribute_sets_extended);
-  EXPECT_EQ(a.evaluation_batches, b.evaluation_batches);
   EXPECT_EQ(a.intra_search_evaluations, b.intra_search_evaluations);
   EXPECT_EQ(a.bitmap_intersections, b.bitmap_intersections);
   EXPECT_EQ(a.galloping_intersections, b.galloping_intersections);
@@ -191,7 +190,6 @@ void SortCanonical(ScpmResult* result) {
 std::pair<ScpmResult, int> RunSegmented(const AttributedGraph& g,
                                         const ScpmOptions& options,
                                         const EngineBudget& budget,
-                                        std::size_t wave,
                                         ExpectationModel* model = nullptr) {
   ScpmResult united;
   int segments = 0;
@@ -200,7 +198,6 @@ std::pair<ScpmResult, int> RunSegmented(const AttributedGraph& g,
   while (!exhausted) {
     ScpmEngine engine(options, model);
     engine.set_budget(budget);
-    engine.set_frontier_wave(wave);
     AccumulatingSink sink;
     Result<MiningRun> run =
         segments == 0 ? engine.Run(g, &sink)
@@ -264,15 +261,15 @@ TEST(CheckpointResumeTest, EvalBudgetUnionEqualsUncutOnPaperExample) {
 
   EngineBudget budget;
   budget.max_evaluations = 2;
-  auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/1);
+  auto [united, segments] = RunSegmented(g, options, budget);
   EXPECT_GE(segments, 2) << "budget never cut the run";
   ExpectSameCounters(uncut.counters, united.counters);
   ExpectSameUnion(uncut, std::move(united));
 }
 
-/// The roots phase checkpoints too: with one evaluation per batch and a
-/// tiny wave, the cut lands while frequent singletons are still pending,
-/// exercising the roots-phase serialization and the done-root carryover.
+/// The roots phase checkpoints too: with a one-evaluation budget the cut
+/// lands while frequent singletons are still pending, exercising the
+/// roots-phase serialization and the done-root carryover.
 TEST(CheckpointResumeTest, RootsPhaseCheckpointRoundTrips) {
   const AttributedGraph g = RandomAttributed(5, /*n=*/40, /*num_attrs=*/8,
                                              /*edge_p=*/0.25, /*attr_p=*/0.5);
@@ -282,7 +279,6 @@ TEST(CheckpointResumeTest, RootsPhaseCheckpointRoundTrips) {
   options.min_support = 3;
   options.min_epsilon = 0.0;
   options.top_k = 2;
-  options.eval_batch_grain = 0;  // one singleton per root entry
   const ScpmResult uncut = EngineAccumulate(g, options);
 
   // First segment by hand so the roots-phase checkpoint can be asserted.
@@ -290,7 +286,6 @@ TEST(CheckpointResumeTest, RootsPhaseCheckpointRoundTrips) {
   EngineBudget budget;
   budget.max_evaluations = 1;
   engine.set_budget(budget);
-  engine.set_frontier_wave(2);
   AccumulatingSink first_sink;
   Result<MiningRun> first = engine.Run(g, &first_sink);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -298,14 +293,13 @@ TEST(CheckpointResumeTest, RootsPhaseCheckpointRoundTrips) {
   EXPECT_TRUE(first->checkpoint.in_roots_phase);
   EXPECT_FALSE(first->checkpoint.root_batches.empty());
 
-  auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/2);
+  auto [united, segments] = RunSegmented(g, options, budget);
   EXPECT_GT(segments, 2);
   ExpectSameCounters(uncut.counters, united.counters);
   ExpectSameUnion(uncut, std::move(united));
 }
 
-/// Root-order fixture: a graph with a spread of singleton supports, and
-/// one singleton per root batch so each frontier entry is one root.
+/// Root-order fixture for a graph with a spread of singleton supports.
 /// min_epsilon 0 makes every root extendable, so every evaluated root
 /// shows up in a roots-phase checkpoint's done_roots.
 ScpmOptions RootOrderOptions() {
@@ -315,18 +309,17 @@ ScpmOptions RootOrderOptions() {
   options.min_support = 3;
   options.min_epsilon = 0.0;
   options.top_k = 2;
-  options.eval_batch_grain = 0;
   return options;
 }
 
-/// Cuts `g` after `evals` root evaluations, one per wave.
+/// Cuts `g` after `evals` root evaluations (one wave, filled to the
+/// budget with one root per entry).
 MiningRun CutInRoots(const AttributedGraph& g, const ScpmOptions& options,
                      std::uint64_t evals, ScpmResult* emitted) {
   ScpmEngine engine(options);
   EngineBudget budget;
   budget.max_evaluations = evals;
   engine.set_budget(budget);
-  engine.set_frontier_wave(1);
   AccumulatingSink sink;
   Result<MiningRun> run = engine.Run(g, &sink);
   EXPECT_TRUE(run.ok()) << run.status();
@@ -336,8 +329,8 @@ MiningRun CutInRoots(const AttributedGraph& g, const ScpmOptions& options,
   return std::move(run).value();
 }
 
-/// Singletons have no parents, so the engine starts the heaviest root
-/// batches first: a roots-phase cut after k one-root waves has evaluated
+/// Singletons have no parents, so the engine starts the heaviest roots
+/// first: a roots-phase cut after k root evaluations has evaluated
 /// exactly the k singletons with the largest tidsets (ties by attribute
 /// order), and the cut plus its resume is still the uncut run.
 TEST(RootOrderTest, RootsPhaseCutEvaluatesHeaviestSingletonsFirst) {
@@ -371,7 +364,7 @@ TEST(RootOrderTest, RootsPhaseCutEvaluatesHeaviestSingletonsFirst) {
 
   EngineBudget budget;
   budget.max_evaluations = kCut;
-  auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/1);
+  auto [united, segments] = RunSegmented(g, options, budget);
   EXPECT_GT(segments, 1);
   const ScpmResult uncut = EngineAccumulate(g, options);
   ExpectSameCounters(uncut.counters, united.counters);
@@ -412,6 +405,56 @@ TEST(RootOrderTest, ResumesAttributeOrderedRootsCheckpoint) {
   ExpectSameUnion(EngineAccumulate(g, options), std::move(united));
 }
 
+/// A roots-phase checkpoint whose pending batch holds two singletons, as
+/// engines that packed several roots into one entry wrote them, resumes
+/// as one root entry per singleton: the cut plus the resume equals the
+/// uncut run, rows and summed counters alike.
+TEST(RootOrderTest, ResumesTwoSingletonRootBatch) {
+  const AttributedGraph g = RandomAttributed(5, /*n=*/40, /*num_attrs=*/8,
+                                             /*edge_p=*/0.25, /*attr_p=*/0.5);
+  const ScpmOptions options = RootOrderOptions();
+  ScpmResult united;
+  const MiningRun run = CutInRoots(g, options, /*evals=*/2, &united);
+  EngineCheckpoint cp = run.checkpoint;
+  ASSERT_GE(cp.root_batches.size(), 2u);
+  for (const EngineCheckpoint::PendingRootBatch& batch : cp.root_batches) {
+    ASSERT_EQ(batch.indices.size(), 1u);
+  }
+  // Fold the second pending singleton into the first batch, in emission
+  // index order, as a packed batch listed its singletons.
+  EngineCheckpoint::PendingRootBatch pair;
+  for (std::size_t b : {0u, 1u}) {
+    pair.indices.push_back(cp.root_batches[b].indices[0]);
+    pair.attrs.push_back(cp.root_batches[b].attrs[0]);
+  }
+  if (pair.indices[0] > pair.indices[1]) {
+    std::swap(pair.indices[0], pair.indices[1]);
+    std::swap(pair.attrs[0], pair.attrs[1]);
+  }
+  cp.root_batches.erase(cp.root_batches.begin(), cp.root_batches.begin() + 2);
+  cp.root_batches.push_back(std::move(pair));
+  Result<EngineCheckpoint> parsed = EngineCheckpoint::Parse(cp.Serialize());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->root_batches.back().indices.size(), 2u);
+
+  ScpmEngine engine(options);
+  AccumulatingSink sink;
+  Result<MiningRun> rest = engine.Resume(g, *parsed, &sink);
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  EXPECT_TRUE(rest->exhausted);
+  ScpmCounters summed = run.counters;
+  summed.MergeFrom(rest->counters);
+  ScpmResult tail = sink.TakeResult();
+  for (auto& s : tail.attribute_sets) {
+    united.attribute_sets.push_back(std::move(s));
+  }
+  for (auto& p : tail.patterns) united.patterns.push_back(std::move(p));
+  SortCanonical(&united);
+  const ScpmResult uncut = EngineAccumulate(g, options);
+  ExpectSameCounters(uncut.counters, summed);
+  ExpectSameUnion(uncut, std::move(united));
+}
+
 class ResumeSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ResumeSweep, UnionEqualsUncutOnRandomGraphs) {
@@ -435,7 +478,7 @@ TEST_P(ResumeSweep, UnionEqualsUncutOnRandomGraphs) {
       EngineBudget budget;
       budget.max_evaluations = max_evals;
       auto [united, segments] =
-          RunSegmented(g, cell, budget, /*wave=*/3, &model);
+          RunSegmented(g, cell, budget, &model);
       EXPECT_GE(segments, 2) << "budget never cut the run";
       ExpectSameCounters(uncut.counters, united.counters);
       ExpectSameUnion(uncut, std::move(united));
@@ -459,7 +502,7 @@ TEST(CheckpointResumeTest, PatternBudgetCutsAndResumes) {
 
   EngineBudget budget;
   budget.max_patterns = 2;
-  auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/1);
+  auto [united, segments] = RunSegmented(g, options, budget);
   EXPECT_GE(segments, 2);
   ExpectSameCounters(uncut.counters, united.counters);
   ExpectSameUnion(uncut, std::move(united));
@@ -485,7 +528,7 @@ TEST(CheckpointResumeTest, ResumeAcrossHybridToggle) {
   off.use_hybrid_sets = false;
   EngineBudget budget;
   budget.max_evaluations = 3;
-  auto [united_off, segments_off] = RunSegmented(g, off, budget, /*wave=*/2);
+  auto [united_off, segments_off] = RunSegmented(g, off, budget);
   EXPECT_GE(segments_off, 2);
   ExpectSameCounters(EngineAccumulate(g, off).counters, united_off.counters);
   ExpectSameUnion(uncut, std::move(united_off));
@@ -493,7 +536,6 @@ TEST(CheckpointResumeTest, ResumeAcrossHybridToggle) {
   // Cut with hybrid on, resume everything with hybrid off.
   ScpmEngine on_engine(options);
   on_engine.set_budget(budget);
-  on_engine.set_frontier_wave(2);
   AccumulatingSink first_sink;
   Result<MiningRun> first = on_engine.Run(g, &first_sink);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -528,14 +570,13 @@ TEST(CheckpointResumeTest, DenseResumeChainCountersMatchUncut) {
   options.min_support = 5;
   options.min_epsilon = 0.0;
   options.top_k = 2;
-  options.eval_batch_grain = 0;
   const ScpmResult uncut = EngineAccumulate(g, options);
   ASSERT_GT(uncut.counters.dense_conversions, 0u);
 
   for (std::uint64_t max_evals : {1u, 4u}) {
     EngineBudget budget;
     budget.max_evaluations = max_evals;
-    auto [united, segments] = RunSegmented(g, options, budget, /*wave=*/2);
+    auto [united, segments] = RunSegmented(g, options, budget);
     EXPECT_GT(segments, 2);
     ExpectSameCounters(uncut.counters, united.counters);
     ExpectSameUnion(uncut, std::move(united));
@@ -595,8 +636,8 @@ struct CutSegment {
   std::string checkpoint;
 };
 
-/// Runs a budget-cut chain to exhaustion with the engine's default waves
-/// (no set_frontier_wave), returning the union and the summed counters
+/// Runs a budget-cut chain to exhaustion with the engine's mass-sized
+/// waves, returning the union and the summed counters
 /// plus each segment's cut point. Every wave, read off the progress hook,
 /// must evaluate fewer sets than what was left of the budget when it
 /// started plus `entry_mass`, a bound on one frontier entry's mass.
@@ -655,11 +696,11 @@ ScpmOptions WaveOptions() {
   return options;
 }
 
-/// No entry makes more evaluations than there are frequent singletons: a
-/// root batch holds at most all of them, and a class never has more
-/// members than the root class.
-std::uint64_t MaxEntryMass(const AttributedGraph& g,
-                           const ScpmOptions& options) {
+/// The frequent-singleton count. It bounds every entry's evaluations: a
+/// root entry makes one, and a class never has more members than the
+/// root class.
+std::uint64_t FrequentSingletons(const AttributedGraph& g,
+                                 const ScpmOptions& options) {
   std::uint64_t singles = 0;
   for (AttributeId a = 0; a < g.NumAttributes(); ++a) {
     if (g.VerticesWith(a).size() >= options.min_support) ++singles;
@@ -676,7 +717,7 @@ void ExpectDefaultWaveCutsDeterministic(const EngineBudget& budget) {
                                              /*edge_p=*/0.25, /*attr_p=*/0.5);
   const ScpmOptions options = WaveOptions();
   const ScpmResult uncut = EngineAccumulate(g, options);
-  const std::uint64_t mass = MaxEntryMass(g, options);
+  const std::uint64_t mass = FrequentSingletons(g, options);
   std::vector<CutSegment> reference;
   for (std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
@@ -821,7 +862,6 @@ TEST(CheckpointTest, SerializationRoundTripsExactly) {
   EngineBudget budget;
   budget.max_evaluations = 2;
   engine.set_budget(budget);
-  engine.set_frontier_wave(1);
   AccumulatingSink sink;
   Result<MiningRun> run = engine.Run(g, &sink);
   ASSERT_TRUE(run.ok());
@@ -842,7 +882,6 @@ TEST(CheckpointTest, RejectsGarbageAndTruncation) {
   EngineBudget budget;
   budget.max_evaluations = 2;
   engine.set_budget(budget);
-  engine.set_frontier_wave(1);
   AccumulatingSink sink;
   Result<MiningRun> run = engine.Run(g, &sink);
   ASSERT_TRUE(run.ok());
@@ -860,7 +899,8 @@ TEST(CheckpointTest, ResumeRejectsMalformedCoveredSets) {
   ScpmOptions options = Table1Options();
   ScpmEngine engine(options);
   EngineBudget budget;
-  budget.max_evaluations = 2;
+  // Cut where the roots end, so the checkpoint holds a class.
+  budget.max_evaluations = FrequentSingletons(g, options);
   engine.set_budget(budget);
   AccumulatingSink sink;
   Result<MiningRun> run = engine.Run(g, &sink);
@@ -888,7 +928,8 @@ TEST(CheckpointTest, ResumeRejectsDuplicateMemberAttributeSets) {
   ScpmOptions options = Table1Options();
   ScpmEngine engine(options);
   EngineBudget budget;
-  budget.max_evaluations = 2;
+  // Cut where the roots end, so the checkpoint holds a class.
+  budget.max_evaluations = FrequentSingletons(g, options);
   engine.set_budget(budget);
   AccumulatingSink sink;
   Result<MiningRun> run = engine.Run(g, &sink);
@@ -1085,7 +1126,7 @@ TEST(CheckpointTest, ResumeRejectsWrongGraphOrOptions) {
   // Perf knobs are not part of the fingerprint.
   ScpmOptions perf = options;
   perf.num_threads = 4;
-  perf.eval_batch_grain = 7;
+  perf.intra_search_min_universe = 7;
   ScpmEngine perf_engine(perf);
   AccumulatingSink s3;
   EXPECT_TRUE(perf_engine.Resume(g, run->checkpoint, &s3).ok());
@@ -1184,8 +1225,6 @@ TEST(SinkTest, SingleThreadStreamingEmitsInSequentialOrder) {
     return Status::OK();
   });
   ScpmEngine engine(options);
-  // Wave size 1 pins the traversal to pure depth-first order.
-  engine.set_frontier_wave(1);
   Result<MiningRun> run = engine.Run(g, &sink);
   ASSERT_TRUE(run.ok()) << run.status();
   ASSERT_GT(keys.size(), 3u);
@@ -1198,7 +1237,6 @@ TEST(SinkTest, SingleThreadStreamingEmitsInSequentialOrder) {
 TEST(SinkTest, ProgressHookObservesWaves) {
   const AttributedGraph g = PaperExampleGraph();
   ScpmEngine engine(Table1Options());
-  engine.set_frontier_wave(1);
   std::vector<EngineProgress> snapshots;
   engine.set_progress(
       [&](const EngineProgress& p) { snapshots.push_back(p); });

@@ -458,6 +458,36 @@ TEST_F(IoTest, AttributedRoundTrip) {
   }
 }
 
+/// The last vertex carries attributes but no edge, so only the attribute
+/// file names it: the loader sizes the graph from both files and the
+/// round trip keeps every vertex and attribute.
+TEST_F(IoTest, AttributedRoundTripWithIsolatedLastVertex) {
+  AttributedGraphBuilder builder(5);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  ASSERT_TRUE(builder.AddVertexAttribute(0, "red").ok());
+  ASSERT_TRUE(builder.AddVertexAttribute(2, "blue").ok());
+  ASSERT_TRUE(builder.AddVertexAttribute(4, "red").ok());
+  ASSERT_TRUE(builder.AddVertexAttribute(4, "green").ok());
+  Result<AttributedGraph> g = builder.Build();
+  ASSERT_TRUE(g.ok()) << g.status();
+  ASSERT_TRUE(SaveAttributedGraph(*g, Path("g.txt"), Path("a.txt")).ok());
+  Result<AttributedGraph> loaded =
+      LoadAttributedGraph(Path("g.txt"), Path("a.txt"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->NumVertices(), 5u);
+  EXPECT_EQ(loaded->graph().NumEdges(), 2u);
+  EXPECT_EQ(loaded->graph().Degree(4), 0u);
+  for (VertexId v = 0; v < 5; ++v) {
+    std::set<std::string> want, got;
+    for (AttributeId a : g->Attributes(v)) want.insert(g->AttributeName(a));
+    for (AttributeId a : loaded->Attributes(v)) {
+      got.insert(loaded->AttributeName(a));
+    }
+    EXPECT_EQ(got, want) << "vertex " << v;
+  }
+}
+
 TEST_F(IoTest, MissingFileIsIoError) {
   Result<Graph> g = LoadEdgeList(Path("nope.txt"));
   EXPECT_FALSE(g.ok());

@@ -643,6 +643,39 @@ TEST(ServerRecovery, AccumulateReRunsFromScratchByteIdentical) {
   }
 }
 
+/// Admit records journaled while queries still carried the retired
+/// "batch_grain" perf knob recover and run: the member is dropped on
+/// replay, although a fresh submit naming it is rejected.
+TEST(ServerRecovery, JournaledRetiredBatchGrainStillRecovers) {
+  FaultInjector::Instance().Reset();
+  const TempDir dir("grain");
+  auto graph = std::make_shared<const AttributedGraph>(RandomAttributed(5));
+  JsonValue query = QuerySpecToJson(QuerySpec{});
+  query.Set("batch_grain", JsonValue(std::uint64_t{256}));
+  ASSERT_FALSE(ParseQuerySpec(query).ok());
+  {
+    Result<std::unique_ptr<StateStore>> store =
+        StateStore::Open(dir.path() + "/state");
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)
+                    ->AppendServer(
+                        1, static_cast<std::uint64_t>(graph->NumVertices()),
+                        graph->graph().NumEdges(), graph->NumAttributes())
+                    .ok());
+    ASSERT_TRUE((*store)->AppendAdmit(1, 1, query).ok());
+  }
+  ScpmServer server(graph, DurableOptions(dir.path() + "/state"));
+  ASSERT_TRUE(server.Recover().ok());
+  EXPECT_EQ(server.recovered_queries(), 1u);
+  EXPECT_TRUE(server.recovery_warnings().empty());
+  server.Start();
+  std::shared_ptr<QuerySession> session = server.Find(1);
+  ASSERT_NE(session, nullptr);
+  session->WaitTerminal();
+  EXPECT_EQ(session->state(), QueryState::kDone);
+  server.Shutdown();
+}
+
 TEST(ServerRecovery, ChangedGraphShapeDiscardsEverything) {
   FaultInjector::Instance().Reset();
   const TempDir dir("shape");

@@ -477,7 +477,6 @@ void ExpectIdenticalResults(const ScpmResult& a, const ScpmResult& b) {
             b.counters.attribute_sets_reported);
   EXPECT_EQ(a.counters.attribute_sets_extended,
             b.counters.attribute_sets_extended);
-  EXPECT_EQ(a.counters.evaluation_batches, b.counters.evaluation_batches);
   EXPECT_EQ(a.counters.intra_search_evaluations,
             b.counters.intra_search_evaluations);
   EXPECT_EQ(a.counters.bitmap_intersections, b.counters.bitmap_intersections);
@@ -597,38 +596,6 @@ TEST(ParallelScpmTest, IntraSearchCountersPinnedAcrossThreadCounts) {
     Result<ScpmResult> result = miner.Mine(g);
     ASSERT_TRUE(result.ok()) << result.status();
     ExpectIdenticalResults(*baseline, *result);
-  }
-}
-
-/// Evaluation batching packs tasks differently but must never change
-/// what is mined: everything except the task-packing counter itself is
-/// identical across batch grains.
-TEST(ParallelScpmTest, EvalBatchGrainDoesNotChangeOutput) {
-  const AttributedGraph g = RandomAttributed(13, /*n=*/30, /*num_attrs=*/6);
-  ScpmOptions options;
-  options.quasi_clique.gamma = 0.6;
-  options.quasi_clique.min_size = 3;
-  options.min_support = 3;
-  options.min_epsilon = 0.1;
-  options.top_k = 3;
-  options.num_threads = 4;
-
-  options.eval_batch_grain = 0;  // one evaluation per task
-  ScpmMiner unbatched_miner(options);
-  Result<ScpmResult> unbatched = unbatched_miner.Mine(g);
-  ASSERT_TRUE(unbatched.ok());
-  for (std::size_t grain : {16u, 256u, 1u << 20}) {
-    ScpmOptions batched = options;
-    batched.eval_batch_grain = grain;
-    ScpmMiner miner(batched);
-    Result<ScpmResult> result = miner.Mine(g);
-    ASSERT_TRUE(result.ok());
-    ScpmResult normalized = std::move(result).value();
-    EXPECT_LE(normalized.counters.evaluation_batches,
-              unbatched->counters.evaluation_batches);
-    normalized.counters.evaluation_batches =
-        unbatched->counters.evaluation_batches;
-    ExpectIdenticalResults(*unbatched, normalized);
   }
 }
 

@@ -625,6 +625,28 @@ TEST(ServerTest, MemoDisabledStillMatchesDirectMine) {
   EXPECT_FALSE(stats->Find("memo")->BoolOr("enabled", true));
 }
 
+/// The retired "batch_grain" perf knob is an unknown member now: a
+/// submit naming it gets a typed invalid-argument that names it, and no
+/// query is admitted.
+TEST(ServerTest, SubmitWithRetiredBatchGrainIsTypedInvalidArgument) {
+  const AttributedGraph graph = RandomAttributed(42);
+  ServerOptions options;
+  options.threads = 2;
+  ScpmServer server(&graph, options);
+  server.Start();
+  Result<JsonValue> reply = JsonValue::Parse(server.HandleRequest(
+      "{\"op\":\"submit\",\"wait\":true,"
+      "\"query\":{\"sigma_min\":3,\"batch_grain\":256}}"));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_FALSE(reply->BoolOr("ok", true));
+  EXPECT_EQ(reply->StringOr("code", ""), "invalid-argument");
+  EXPECT_NE(reply->StringOr("error", "").find("batch_grain"),
+            std::string::npos)
+      << reply->Dump();
+  EXPECT_EQ(server.Find(1), nullptr);
+  server.Shutdown();
+}
+
 TEST(ServerTest, ParseQuerySpecRejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuerySpec(JsonValue(3.0)).ok());
 
@@ -664,7 +686,7 @@ Result<QuerySpec> ParseQueryText(const std::string& text) {
 TEST(ServerTest, ParseQuerySpecRangeChecksIntegerMembers) {
   const std::vector<std::string> integer_members = {
       "min_size",    "sigma_min", "top_k",        "max_set_size",
-      "min_report_size", "batch_grain", "intra_min", "intra_depth",
+      "min_report_size", "intra_min", "intra_depth",
       "deadline_ms", "max_evals", "max_patterns", "sink_k",
       "max_rows"};
   for (const std::string& member : integer_members) {
