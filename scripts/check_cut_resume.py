@@ -5,10 +5,17 @@
         --graph /tmp/cs20 --max-evals 2000 --workdir /tmp/cs20_check -- \\
         --gamma 0.5 --min-size 8 --sigma-min 25 --eps-min 0.1
 
+    python3 scripts/check_cut_resume.py --cli build/scpm_cli \\
+        --graph /tmp/lfm20 --deadline-ms 500 --workdir /tmp/lfm20_dl -- \\
+        --gamma 0.9 --min-size 6 --sigma-min 3 --eps-min 0
+
 Mines <graph>.edges/<graph>.attrs three times with the query flags given
 after "--": once uncut at 4 threads, once at 4 threads cut by --max-evals
-(exit 3, cold checkpoint written), and once at 1 thread in a new process
-resuming that checkpoint. The cut's and the resume's rows together must
+or --deadline-ms (exactly one of the two; exit 3, cold checkpoint
+written), and once at 1 thread in a new process resuming that
+checkpoint. An evaluation budget cuts at a capped-wave barrier; a
+deadline cuts a run without a count budget wherever the clock lands, in
+the engine's open wave. The cut's and the resume's rows together must
 equal the uncut run's, byte for byte once sorted, and their "counters:"
 lines must sum to the uncut run's on every lattice and set-kernel
 counter. candidates and intra_tasks are left out: they follow the pool's
@@ -54,7 +61,9 @@ def main():
     parser.add_argument("--cli", required=True, help="scpm_cli binary")
     parser.add_argument("--graph", required=True,
                         help="dataset prefix (<graph>.edges, <graph>.attrs)")
-    parser.add_argument("--max-evals", required=True, type=int)
+    cut = parser.add_mutually_exclusive_group(required=True)
+    cut.add_argument("--max-evals", type=int)
+    cut.add_argument("--deadline-ms", type=int)
     parser.add_argument("--workdir", required=True)
     parser.add_argument("query", nargs="*",
                         help="scpm_cli query flags, after --")
@@ -68,8 +77,10 @@ def main():
         sys.exit(f"uncut run exited {code}")
     code = mine(args.cli, args.graph, args.query, 4, path("cut.jsonl"),
                 path("cut.log"),
-                ["--max-evals", str(args.max_evals),
-                 "--checkpoint", path("cut.ckpt")])
+                (["--max-evals", str(args.max_evals)]
+                 if args.max_evals is not None else
+                 ["--deadline-ms", str(args.deadline_ms)]) +
+                ["--checkpoint", path("cut.ckpt")])
     with open(path("cut.log")) as f:
         cut_log = f.read()
     print(cut_log, end="")

@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -31,15 +30,16 @@ namespace {
 
 using Key = std::vector<std::uint32_t>;
 
-/// One node of the attribute-set enumeration tree. The covered set K_S is
-/// not stored here: it lives in the shared CoveredSetCache while children
-/// may still need it for Theorem-3 pruning. Tidsets are hybrid: root
-/// classes borrow the graph-owned attribute tidsets, children own the
-/// vertices occurrence deliver filed for them, and dense sets live as
-/// bitmaps.
+/// One node of the attribute-set enumeration tree. Tidsets are hybrid:
+/// root classes borrow the graph-owned attribute tidsets, children own
+/// the vertices occurrence deliver filed for them, and dense sets live as
+/// bitmaps. The covered set K_S is kept only for class members, whose
+/// children read it for Theorem-3 pruning: a child's two generating
+/// parents are always members of the expanded entry's own class.
 struct Node {
   AttributeSet items;
-  HybridVertexSet tidset;  // V(S)
+  HybridVertexSet tidset;   // V(S)
+  HybridVertexSet covered;  // K_S, set only when extendable
 };
 
 /// FNV-1a over the attribute ids.
@@ -54,51 +54,6 @@ struct AttributeSetHash {
   }
 };
 
-/// Concurrent map S -> K_S sharing Theorem-3 covered-vertex sets across
-/// workers. Mutex-striped so unrelated attribute sets do not contend.
-///
-/// Usage is deterministic by construction: an entry is inserted before any
-/// frontier entry that reads it exists (children of an equivalence class
-/// are created only after every class member is evaluated), and only the
-/// two generating parents of a child are consulted — never whichever
-/// other subsets happen to be resident. That keeps the mined output and
-/// the lattice counters independent of thread timing.
-class CoveredSetCache {
- public:
-  using Entry = std::shared_ptr<const HybridVertexSet>;
-
-  void Insert(const AttributeSet& items, Entry covered) {
-    Shard& shard = ShardFor(items);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map[items] = std::move(covered);
-  }
-
-  Entry Lookup(const AttributeSet& items) {
-    Shard& shard = ShardFor(items);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(items);
-    return it == shard.map.end() ? nullptr : it->second;
-  }
-
-  void Erase(const AttributeSet& items) {
-    Shard& shard = ShardFor(items);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.erase(items);
-  }
-
- private:
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<AttributeSet, Entry, AttributeSetHash> map;
-  };
-
-  Shard& ShardFor(const AttributeSet& items) {
-    return shards_[AttributeSetHash{}(items) % shards_.size()];
-  }
-
-  std::array<Shard, 16> shards_;
-};
-
 /// The class premise: every member of an equivalence class is P + {l}
 /// for one sorted prefix P and strictly increasing last items l. So a
 /// member's tidset is T_P ∩ V(l), which occurrence deliver relies on.
@@ -109,15 +64,11 @@ bool ExtendsClassPrefix(const AttributeSet& prev, const AttributeSet& next) {
 }
 
 /// An evaluated equivalence class whose members may still be extended,
-/// with the emission-key prefix its members' children extend.
-/// Destruction (when the last frontier entry referencing the class is
-/// consumed) evicts the members' covered sets from the cache.
+/// with the emission-key prefix its members' children extend. Frontier
+/// entries share it; it (and its members' covered sets) goes when the
+/// last entry expanding one of its members is consumed.
 struct ClassNode {
-  ClassNode(CoveredSetCache* cache, Key path)
-      : path(std::move(path)), cache(cache) {}
-  ~ClassNode() {
-    for (const Node& s : siblings) cache->Erase(s.items);
-  }
+  explicit ClassNode(Key path) : path(std::move(path)) {}
   ClassNode(const ClassNode&) = delete;
   ClassNode& operator=(const ClassNode&) = delete;
 
@@ -131,14 +82,41 @@ struct ClassNode {
 
   std::vector<Node> siblings;
   const Key path;
-  CoveredSetCache* cache;
+};
+
+/// Deterministic counter deltas of completed frontier entries. An entry
+/// fills its own bundle and a cancelled entry discards it, so engine
+/// totals reflect exactly the completed entries; every field is a sum,
+/// so the order in which bundles are folded does not matter.
+struct CounterBundle {
+  ScpmCounters counters;
+  SetOpStats set_ops;
+  // Cross-run memo outcomes; not part of ScpmCounters (they describe
+  // the cache, not the mining effort) but folded with the same
+  // cancelled-entries-leave-no-trace discipline.
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_misses = 0;
+  std::uint64_t emitted = 0;           // attribute sets
+  std::uint64_t patterns_emitted = 0;  // patterns across those sets
+
+  void MergeFrom(const CounterBundle& other) {
+    memo_hits += other.memo_hits;
+    memo_misses += other.memo_misses;
+    emitted += other.emitted;
+    patterns_emitted += other.patterns_emitted;
+    // Kernel counters ride in set_ops within a run (folded into
+    // counters at TakeRun), so other.counters' kernel fields are zero
+    // here and the field-wise merge is exact.
+    counters.MergeFrom(other.counters);
+    set_ops.MergeFrom(other.set_ops);
+  }
 };
 
 /// Mutable per-worker scratch: a reusable quasi-clique miner, the
 /// induced-subgraph workspace feeding it, and the occurrence-deliver
-/// buckets that build an expansion's child tidsets. Counters do NOT live
-/// here — they flow through per-entry bundles so a cancelled entry's
-/// partial work leaves no trace.
+/// buckets that build an expansion's child tidsets, plus the summed
+/// bundles of the entries this worker completed in an open wave (see
+/// RunOpenWave), which the driver folds when the wave ends.
 struct WorkerState {
   WorkerState(const ScpmOptions& options, std::size_t num_attributes)
       : miner(options.miner_options()), deliver(num_attributes) {
@@ -148,37 +126,13 @@ struct WorkerState {
   SubgraphWorkspace workspace;  // before miner: it must outlive it
   QuasiCliqueMiner miner;
   OccurrenceDeliver deliver;
-};
-
-/// Deterministic counter deltas of one frontier entry, folded into the
-/// engine totals at the wave barrier in a fixed order. Cancelled entries
-/// discard theirs, so engine totals reflect exactly the completed
-/// entries.
-struct CounterBundle {
-  ScpmCounters counters;
-  SetOpStats set_ops;
-  // Cross-run memo outcomes; not part of ScpmCounters (they describe
-  // the cache, not the mining effort) but folded with the same
-  // cancelled-entries-leave-no-trace discipline.
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
-
-  void MergeFrom(const CounterBundle& other) {
-    memo_hits += other.memo_hits;
-    memo_misses += other.memo_misses;
-    // Kernel counters ride in set_ops within a run (folded into
-    // counters at TakeRun), so other.counters' kernel fields are zero
-    // here and the field-wise merge is exact.
-    counters.MergeFrom(other.counters);
-    set_ops.MergeFrom(other.set_ops);
-  }
+  CounterBundle completed;
 };
 
 /// Evaluation output and bookkeeping of one child attribute set.
 struct EvalSlot {
-  Node node;
-  Key key;                         // emission key, set by the producer
-  CoveredSetCache::Entry covered;  // set only when extendable
+  Node node;  // node.covered is set by the evaluation when extendable
+  Key key;    // emission key, set by the producer
   bool extendable = false;
   bool reported = false;
   AttributeSetOutput output;  // valid when reported
@@ -202,25 +156,23 @@ struct FrontierEntry {
   std::uint32_t sibling = 0;
 };
 
-/// What one processed entry hands back to the driver at the wave barrier.
+/// What one processed entry hands back to the code that ran it.
 struct EntryResult {
   bool cancelled = false;  // discard everything, re-queue the entry
   CounterBundle bundle;
-  std::uint64_t emitted = 0;           // attribute sets
-  std::uint64_t patterns_emitted = 0;  // patterns across those sets
   std::vector<FrontierEntry> children;  // in sibling (key) order
 };
 
-/// Evaluations one frontier wave is filled to (see RunWave). A wave ends
-/// in a barrier, so it must be large enough to spread a lattice-bound
-/// run's cheap evaluations over the pool. It stays moderate because a
-/// wave widens the frontier, which a sliced (server) run re-seeds from
-/// its checkpoint at every slice; 4x larger waves bought ~6% more on a
-/// 50x Last.fm-like graph and ~1% more peak memory.
+/// Evaluations one capped frontier wave is filled to (see RunWave). Only
+/// the roots phase and runs with an evaluation or pattern budget use
+/// capped waves. A wave ends in a barrier, so it must be large enough to
+/// spread a lattice-bound run's cheap evaluations over the pool. It stays
+/// moderate because a wave widens the frontier, which a sliced (server)
+/// run re-seeds from its checkpoint at every slice.
 constexpr std::uint64_t kWaveMass = 4096;
 
-/// One Run/Resume segment: owns the frontier, the pool, the caches, and
-/// the wave loop.
+/// One Run/Resume segment: owns the frontier, the pool, and the wave
+/// loop.
 class EngineRunner {
  public:
   EngineRunner(const AttributedGraph& graph, const ScpmOptions& options,
@@ -351,8 +303,8 @@ class EngineRunner {
               "checkpoint root covered set malformed");
         }
         rs.slot.node.tidset = RecomputeTidset(rs.slot.node.items);
-        rs.slot.covered = std::make_shared<const HybridVertexSet>(
-            HybridVertexSet::FromVector(dr.covered, SetUniverse(), nullptr));
+        rs.slot.node.covered =
+            HybridVertexSet::FromVector(dr.covered, SetUniverse(), nullptr);
         singles_.push_back(std::move(rs));
       }
       // This engine writes one singleton per batch; a batch of several
@@ -373,8 +325,9 @@ class EngineRunner {
     phase_roots_ = false;
     std::vector<std::shared_ptr<ClassNode>> classes;
     classes.reserve(cp.classes.size());
+    std::unordered_set<AttributeSet, AttributeSetHash> members;
     for (const EngineCheckpoint::PendingClass& pc : cp.classes) {
-      auto cls = std::make_shared<ClassNode>(&cache_, pc.path);
+      auto cls = std::make_shared<ClassNode>(pc.path);
       for (const EngineCheckpoint::Member& m : pc.members) {
         if (m.items.empty()) {
           return Status::InvalidArgument("checkpoint class member is empty");
@@ -390,11 +343,9 @@ class EngineRunner {
           return Status::InvalidArgument(
               "checkpoint class members do not extend one prefix");
         }
-        // Every attribute set belongs to exactly one class. A repeat
-        // would share one cache slot between two classes, and the first
-        // class to finish would evict the covered set the other still
-        // needs.
-        if (cache_.Lookup(m.items) != nullptr) {
+        // Every attribute set belongs to exactly one class: the engine
+        // creates each set once, so a repeat marks bytes it never wrote.
+        if (!members.insert(m.items).second) {
           return Status::InvalidArgument(
               "checkpoint member attribute set appears twice");
         }
@@ -405,19 +356,16 @@ class EngineRunner {
         Node node;
         node.items = m.items;
         node.tidset = RecomputeTidset(m.items);
-        cache_.Insert(m.items, std::make_shared<const HybridVertexSet>(
-                                   HybridVertexSet::FromVector(
-                                       m.covered, SetUniverse(), nullptr)));
+        node.covered =
+            HybridVertexSet::FromVector(m.covered, SetUniverse(), nullptr);
         cls->Append(std::move(node));
       }
       classes.push_back(std::move(cls));
     }
     // Expanding member S creates exactly the sets that extend S as a
     // sorted prefix. A checkpoint that expands S twice, or already holds
-    // such an extension, would have this run create one attribute set
-    // twice, and the class finishing first would evict the covered set
-    // the other still reads. The covered-set lookups in EvaluateNode and
-    // BuildCheckpoint rely on this check.
+    // such an extension, would have this run create, and emit, one
+    // attribute set twice.
     std::unordered_set<AttributeSet, AttributeSetHash> expanding;
     for (const EngineCheckpoint::PendingExpansion& e : cp.expansions) {
       if (e.class_index >= classes.size() ||
@@ -448,13 +396,17 @@ class EngineRunner {
   }
 
   /// The wave loop: drain the frontier until exhausted, cut, or error.
+  /// The roots phase and runs with a count budget drain it in capped
+  /// waves (RunWave), whose barriers put budget cuts at a deterministic
+  /// point; every other lattice phase is one open wave (RunOpenWave),
+  /// ended early only by the token or a periodic snapshot.
   Status Drive() {
     if (env_.budget.deadline_ms != 0) {
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(env_.budget.deadline_ms);
       token_.SetDeadline(deadline_);
     }
-    auto last_snapshot = std::chrono::steady_clock::now();
+    last_snapshot_ = std::chrono::steady_clock::now();
     while (true) {
       if (has_error_.load()) return FirstError();
       if (frontier_.empty()) {
@@ -470,26 +422,25 @@ class EngineRunner {
         exhausted_ = false;
         return Status::OK();
       }
-      RunWave();
+      if (phase_roots_ || env_.budget.has_count_budget()) {
+        RunWave();
+      } else {
+        RunOpenWave();
+      }
       if (env_.progress || env_.checkpoint_observer) {
         EngineProgress p;
         p.evaluations = total_.counters.attribute_sets_evaluated;
-        p.emitted = emitted_;
-        p.patterns_emitted = patterns_emitted_;
+        p.emitted = total_.emitted;
+        p.patterns_emitted = total_.patterns_emitted;
         p.frontier_entries = frontier_.size();
         if (env_.progress) env_.progress(p);
         // Periodic durability snapshot: a checkpoint copy handed
-        // out between waves, when the workers are parked and the
+        // out between waves, when no entry is running and the
         // frontier is entry-consistent. Skipped when the walk just
         // finished — TakeRun() reports exhaustion instead.
-        if (env_.checkpoint_observer && env_.checkpoint_interval_ms != 0 &&
-            !(frontier_.empty() && !phase_roots_)) {
-          const auto now = std::chrono::steady_clock::now();
-          if (now - last_snapshot >=
-              std::chrono::milliseconds(env_.checkpoint_interval_ms)) {
-            env_.checkpoint_observer(BuildCheckpoint(), p);
-            last_snapshot = std::chrono::steady_clock::now();
-          }
+        if (SnapshotDue() && !(frontier_.empty() && !phase_roots_)) {
+          env_.checkpoint_observer(BuildCheckpoint(), p);
+          last_snapshot_ = std::chrono::steady_clock::now();
         }
       }
     }
@@ -505,8 +456,8 @@ class EngineRunner {
     run.counters.dense_conversions += total_.set_ops.dense_conversions;
     run.memo_hits = total_.memo_hits;
     run.memo_misses = total_.memo_misses;
-    run.emitted = emitted_;
-    run.patterns_emitted = patterns_emitted_;
+    run.emitted = total_.emitted;
+    run.patterns_emitted = total_.patterns_emitted;
     run.frontier_entries = frontier_.size();
     if (!exhausted_) run.checkpoint = BuildCheckpoint();
     return run;
@@ -526,6 +477,22 @@ class EngineRunner {
     } else {
       pool_->WaitFor(group);
     }
+  }
+
+  /// When the next periodic snapshot falls due (time_point::max() when
+  /// snapshots are off).
+  std::chrono::steady_clock::time_point NextSnapshot() const {
+    if (!env_.checkpoint_observer || env_.checkpoint_interval_ms == 0) {
+      return std::chrono::steady_clock::time_point::max();
+    }
+    return last_snapshot_ +
+           std::chrono::milliseconds(env_.checkpoint_interval_ms);
+  }
+
+  bool SnapshotDue() const {
+    const auto next = NextSnapshot();
+    return next != std::chrono::steady_clock::time_point::max() &&
+           std::chrono::steady_clock::now() >= next;
   }
 
   void PushRootEntry(std::size_t single) {
@@ -593,7 +560,8 @@ class EngineRunner {
         total_.counters.attribute_sets_evaluated >= budget.max_evaluations) {
       return true;
     }
-    if (budget.max_patterns != 0 && patterns_emitted_ >= budget.max_patterns) {
+    if (budget.max_patterns != 0 &&
+        total_.patterns_emitted >= budget.max_patterns) {
       return true;
     }
     if (budget.deadline_ms != 0 && token_.CheckNow()) return true;
@@ -622,7 +590,7 @@ class EngineRunner {
                               total_.counters.attribute_sets_evaluated);
     }
     if (budget.max_patterns != 0) {
-      cap = std::min(cap, budget.max_patterns - patterns_emitted_);
+      cap = std::min(cap, budget.max_patterns - total_.patterns_emitted);
     }
     return cap;
   }
@@ -670,16 +638,101 @@ class EngineRunner {
       }
       if (entries[i].cls == nullptr) singles_[entries[i].single].done = true;
       total_.MergeFrom(r.bundle);
-      emitted_ += r.emitted;
-      patterns_emitted_ += r.patterns_emitted;
       for (FrontierEntry& child : r.children) {
         frontier_.push_back(std::move(child));
       }
     }
   }
 
+  /// Drains the lattice phase of a run without a count budget as one
+  /// self-feeding wave: the paper's depth-first walk, with no barrier
+  /// per level. Every frontier entry becomes a task of one group, and a
+  /// completed expansion spawns its children into the same group, onto
+  /// its worker's own deque: the owner pops the newest first, keeping the
+  /// walk depth-first, and thieves take the oldest, the largest subtrees.
+  /// A completed entry folds its bundle into its worker's state; the
+  /// sums are folded here once the group drains.
+  ///
+  /// Two things end the wave early. A latched token (deadline, cancel,
+  /// error) aborts the running searches, and every cancelled or not yet
+  /// started entry goes back to the frontier whole. A periodic snapshot
+  /// falling due closes admission instead: running entries finish, while
+  /// their children and every entry that starts later go back to the
+  /// frontier, so Drive snapshots an entry-consistent frontier and then
+  /// opens the next wave. Without a pool the wave is a LIFO loop over
+  /// the frontier that checks both between entries.
+  void RunOpenWave() {
+    if (pool_ == nullptr) {
+      while (!frontier_.empty() && !token_.CheckNow() && !SnapshotDue()) {
+        FrontierEntry entry = std::move(frontier_.back());
+        frontier_.pop_back();
+        EntryResult result;
+        ProcessEntry(&entry, &result);
+        if (result.cancelled) {
+          frontier_.push_back(std::move(entry));
+          return;
+        }
+        total_.MergeFrom(result.bundle);
+        for (FrontierEntry& child : result.children) {
+          frontier_.push_back(std::move(child));
+        }
+      }
+      return;
+    }
+    ThreadPool::TaskGroup group;
+    // The frontier's first entry is spawned first; injected tasks leave
+    // in spawn order, so the root class's heaviest members start first.
+    for (FrontierEntry& entry : frontier_) {
+      SpawnOpenEntry(&group, std::move(entry));
+    }
+    frontier_.clear();
+    const auto snapshot = NextSnapshot();
+    if (snapshot != std::chrono::steady_clock::time_point::max() &&
+        (env_.budget.deadline_ms == 0 || snapshot < deadline_) &&
+        !pool_->WaitForUntil(&group, snapshot)) {
+      admission_closed_.store(true);
+    }
+    AwaitWave(&group);
+    admission_closed_.store(false);
+    frontier_ = std::move(returned_);
+    returned_.clear();
+    for (const std::unique_ptr<WorkerState>& ws : states_) {
+      total_.MergeFrom(ws->completed);
+      ws->completed = CounterBundle();
+    }
+  }
+
+  void SpawnOpenEntry(ThreadPool::TaskGroup* group, FrontierEntry entry) {
+    pool_->Spawn(group, [this, group, entry = std::move(entry)]() mutable {
+      RunOpenEntry(group, std::move(entry));
+    });
+  }
+
+  /// One task of an open wave (see RunOpenWave).
+  void RunOpenEntry(ThreadPool::TaskGroup* group, FrontierEntry entry) {
+    EntryResult result;
+    ProcessEntry(&entry, &result);
+    if (result.cancelled) {
+      ReturnToFrontier(std::move(entry));
+      return;
+    }
+    State().completed.MergeFrom(result.bundle);
+    for (FrontierEntry& child : result.children) {
+      if (admission_closed_.load()) {
+        ReturnToFrontier(std::move(child));
+      } else {
+        SpawnOpenEntry(group, std::move(child));
+      }
+    }
+  }
+
+  void ReturnToFrontier(FrontierEntry entry) {
+    std::lock_guard<std::mutex> lock(returned_mutex_);
+    returned_.push_back(std::move(entry));
+  }
+
   void ProcessEntry(FrontierEntry* entry, EntryResult* result) {
-    if (has_error_.load() || token_.cancelled()) {
+    if (has_error_.load() || token_.cancelled() || admission_closed_.load()) {
       result->cancelled = true;
       return;
     }
@@ -756,7 +809,7 @@ class EngineRunner {
     bool cancelled = false;
     for (std::size_t s = 0; s < slots.size() && !cancelled; ++s) {
       if (token_.cancelled() || has_error_.load()) break;
-      EvaluateNode(&slots[s], &siblings[i].items, &siblings[js[s]].items,
+      EvaluateNode(&slots[s], &siblings[i].covered, &siblings[js[s]].covered,
                    &result->bundle, &cancelled);
     }
     if (cancelled || has_error_.load() || token_.cancelled()) {
@@ -770,11 +823,9 @@ class EngineRunner {
     Key child_path = entry.cls->path;
     child_path.push_back(static_cast<std::uint32_t>(i));
     child_path.push_back(1);
-    auto child_class =
-        std::make_shared<ClassNode>(&cache_, std::move(child_path));
+    auto child_class = std::make_shared<ClassNode>(std::move(child_path));
     for (EvalSlot& slot : slots) {
       if (!slot.extendable) continue;
-      cache_.Insert(slot.node.items, std::move(slot.covered));
       child_class->Append(std::move(slot.node));
     }
     result->bundle.counters.attribute_sets_extended +=
@@ -806,17 +857,19 @@ class EngineRunner {
       result->cancelled = true;
       return false;
     }
-    ++result->emitted;
-    result->patterns_emitted += patterns;
+    ++result->bundle.emitted;
+    result->bundle.patterns_emitted += patterns;
     return true;
   }
 
   /// Computes K_S / eps / delta for a node, records it (and its patterns)
   /// into the slot when it passes the thresholds, and decides
   /// extendability per Theorems 4 and 5. A cancelled quasi-clique search
-  /// sets *cancelled instead of erroring.
-  void EvaluateNode(EvalSlot* slot, const AttributeSet* parent_a,
-                    const AttributeSet* parent_b, CounterBundle* bundle,
+  /// sets *cancelled instead of erroring. `parent_a` and `parent_b` are
+  /// the covered sets of the node's two generating parents (null for a
+  /// root).
+  void EvaluateNode(EvalSlot* slot, const HybridVertexSet* parent_a,
+                    const HybridVertexSet* parent_b, CounterBundle* bundle,
                     bool* cancelled) {
     if (has_error_.load()) return;
     WorkerState& ws = State();
@@ -849,9 +902,8 @@ class EngineRunner {
         }
         slot->extendable = hit->extendable;
         if (hit->extendable) {
-          slot->covered = std::make_shared<const HybridVertexSet>(
-              HybridVertexSet::FromVector(hit->covered, SetUniverse(),
-                                          set_stats));
+          node.covered = HybridVertexSet::FromVector(
+              hit->covered, SetUniverse(), set_stats);
         }
         return;
       }
@@ -863,14 +915,9 @@ class EngineRunner {
     HybridVertexSet universe = node.tidset;
     if (options_.use_vertex_pruning) {
       HybridVertexSet tmp;
-      for (const AttributeSet* parent : {parent_a, parent_b}) {
+      for (const HybridVertexSet* parent : {parent_a, parent_b}) {
         if (parent == nullptr) continue;
-        // Never null, resumed runs included: SeedFromCheckpoint rejects
-        // a checkpoint that would create one attribute set twice.
-        CoveredSetCache::Entry covered = cache_.Lookup(*parent);
-        SCPM_CHECK(covered != nullptr)
-            << "parent covered set evicted before its children finished";
-        HybridVertexSet::Intersect(universe, *covered, &tmp, set_stats);
+        HybridVertexSet::Intersect(universe, *parent, &tmp, set_stats);
         universe = std::move(tmp);
         tmp = HybridVertexSet();
       }
@@ -972,9 +1019,8 @@ class EngineRunner {
     if (extendable) {
       // Stored for the children's Theorem-3 intersection, so it goes in
       // hybrid form (dense covered sets intersect by word-AND).
-      slot->covered = std::make_shared<const HybridVertexSet>(
-          HybridVertexSet::FromVector(std::move(covered_global),
-                                      SetUniverse(), set_stats));
+      node.covered = HybridVertexSet::FromVector(std::move(covered_global),
+                                                 SetUniverse(), set_stats);
     }
   }
 
@@ -1028,9 +1074,8 @@ class EngineRunner {
               [](const RootSlot* a, const RootSlot* b) {
                 return a->index < b->index;
               });
-    auto roots = std::make_shared<ClassNode>(&cache_, Key{1});
+    auto roots = std::make_shared<ClassNode>(Key{1});
     for (RootSlot* rs : extendable) {
-      cache_.Insert(rs->slot.node.items, std::move(rs->slot.covered));
       roots->Append(std::move(rs->slot.node));
     }
     total_.counters.attribute_sets_extended += roots->siblings.size();
@@ -1080,7 +1125,7 @@ class EngineRunner {
         EngineCheckpoint::DoneRoot dr;
         dr.index = rs.index;
         dr.attr = rs.attr;
-        dr.covered = rs.slot.covered->ToVector();
+        dr.covered = rs.slot.node.covered.ToVector();
         cp.done_roots.push_back(std::move(dr));
       }
       for (const FrontierEntry& entry : frontier_) {
@@ -1101,11 +1146,7 @@ class EngineRunner {
         for (const Node& node : entry.cls->siblings) {
           EngineCheckpoint::Member member;
           member.items = node.items;
-          // Never null; see the covered-set lookup in EvaluateNode.
-          CoveredSetCache::Entry covered = cache_.Lookup(node.items);
-          SCPM_CHECK(covered != nullptr)
-              << "class member covered set missing at checkpoint";
-          member.covered = covered->ToVector();
+          member.covered = node.covered.ToVector();
           pc.members.push_back(std::move(member));
         }
         cp.classes.push_back(std::move(pc));
@@ -1136,28 +1177,33 @@ class EngineRunner {
   CancelToken& token_;
   std::chrono::steady_clock::time_point deadline_{};
 
+  std::chrono::steady_clock::time_point last_snapshot_{};
+
   std::vector<std::unique_ptr<WorkerState>> states_;
-  CoveredSetCache cache_;
 
   bool phase_roots_ = false;
   std::vector<RootSlot> singles_;
   std::vector<FrontierEntry> frontier_;
 
+  // Open waves only: set while a due snapshot drains the wave, and the
+  // entries the wave hands back to the frontier.
+  std::atomic<bool> admission_closed_{false};
+  std::mutex returned_mutex_;
+  std::vector<FrontierEntry> returned_;
+
   CounterBundle total_;
-  std::uint64_t emitted_ = 0;
-  std::uint64_t patterns_emitted_ = 0;
   bool exhausted_ = false;
 
   std::mutex error_mutex_;
   Status first_error_;
   std::atomic<bool> has_error_{false};
 
-  // Declared last, destroyed first: joining the workers destroys every
-  // outstanding task closure, whose captured ClassNode references erase
-  // cache entries — all of which must still be alive at that point. With
-  // a shared (caller-owned) pool owned_pool_ stays null; the wave
-  // discipline guarantees no task of this runner is outstanding once
-  // Drive() returns, so the runner may destruct under a live pool.
+  // Declared last, destroyed first: joining the workers runs any task
+  // still queued, which may touch the members above. Every wave drains
+  // its group before Drive() goes on, so no task of this runner is
+  // outstanding once Drive() returns, and with a shared (caller-owned)
+  // pool, where owned_pool_ stays null, the runner may destruct under a
+  // live pool.
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
 };

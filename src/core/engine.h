@@ -3,14 +3,23 @@
 // The paper's Algorithm 2 walks the attribute-set lattice; the original
 // implementation expressed that walk as recursive task spawning, which
 // ties the run's lifetime and memory to the whole lattice. This engine
-// makes the walk's state explicit — a deterministic work-list (the
-// *frontier*) of expansion entries, in the style of Galois worklists and
-// LTSmin exploration frontiers — and drains it in waves on the existing
-// work-stealing pool, each wave filled to a fixed evaluation mass. An
-// entry expands one member of one evaluated equivalence class: it builds
-// the member's children by occurrence deliver (core/occurrence.h),
-// evaluates them, finalizes the reported ones into the run's PatternSink,
-// and appends the extendable children's class back onto the frontier.
+// makes the walk's state explicit — a work-list (the *frontier*) of
+// expansion entries, in the style of Galois worklists and LTSmin
+// exploration frontiers — and drains it on the existing work-stealing
+// pool. An entry expands one member of one evaluated equivalence class:
+// it builds the member's children by occurrence deliver
+// (core/occurrence.h), evaluates them, finalizes the reported ones into
+// the run's PatternSink, and turns the extendable children's class into
+// new entries.
+//
+// How the frontier drains depends on the budget. The roots phase, and
+// the lattice phase of a run with an evaluation or pattern budget, run
+// in capped waves: each wave is filled to a fixed evaluation mass (less
+// what is left of the budget) and ends in a barrier, which is what puts
+// a count-budget cut at a thread-count-independent point. Every other
+// lattice phase is one open wave: each entry is a pool task, and a
+// completed expansion spawns its children straight into the running
+// wave, so the walk runs depth-first with no per-level barrier.
 //
 // What the explicit frontier buys:
 //
@@ -18,13 +27,13 @@
 //    immediately through the sink; with a streaming sink, resident memory
 //    is O(frontier), not O(output).
 //  * Budgets / anytime mining — evaluation-count and pattern-count
-//    budgets cut the run at the next wave boundary (a deterministic,
-//    thread-count-independent point); a wall-clock deadline additionally
-//    latches a CancelToken that the quasi-clique searches poll, so even
-//    one long coverage search stops within a candidate's work. Entries in
-//    flight at a deadline cut are discarded whole and re-queued (their
-//    output was never emitted), so no attribute set is ever emitted
-//    twice.
+//    budgets cut the run at the next capped-wave boundary (a
+//    deterministic, thread-count-independent point); a wall-clock
+//    deadline latches a CancelToken that the quasi-clique searches poll,
+//    so even one long coverage search stops within a candidate's work.
+//    Entries in flight at a deadline cut, and entries not yet started,
+//    are re-queued whole (their output was never emitted), so no
+//    attribute set is ever emitted twice.
 //  * Checkpoint / resume — a cut run serializes the remaining frontier
 //    (pending entries, their classes' attribute sets, and the Theorem-3
 //    covered sets children still need). Resume(checkpoint) validates it,
@@ -103,10 +112,10 @@ class EvalMemo {
 };
 
 /// Anytime budgets. All default to "unlimited"; the evaluation and
-/// pattern budgets are enforced at wave boundaries only, so their cut
-/// point is a pure function of the input (never of thread count or
-/// timing). The deadline is wall-clock and therefore cuts at whichever
-/// boundary the clock picks — still an entry-consistent state.
+/// pattern budgets are enforced at capped-wave boundaries only, so their
+/// cut point is a pure function of the input (never of thread count or
+/// timing). The deadline is wall-clock and therefore cuts wherever the
+/// clock picks — still an entry-consistent state.
 struct EngineBudget {
   /// Cut once this many attribute-set evaluations have completed
   /// (0 = unlimited).
@@ -118,8 +127,10 @@ struct EngineBudget {
   /// (0 = none).
   std::uint64_t deadline_ms = 0;
 
-  bool unlimited() const {
-    return max_evaluations == 0 && max_patterns == 0 && deadline_ms == 0;
+  /// True when an evaluation or pattern budget is set: such a run
+  /// drains its lattice in capped waves, whose barriers fix the cut.
+  bool has_count_budget() const {
+    return max_evaluations != 0 || max_patterns != 0;
   }
 };
 
@@ -212,7 +223,9 @@ struct MiningRun {
   EngineCheckpoint checkpoint;
 };
 
-/// Wave-boundary progress snapshot for observers.
+/// Progress snapshot for observers, taken at the end of each wave: every
+/// capped wave, and each open wave (see the file comment), which ends
+/// when the lattice is drained, cut, or paused for a periodic snapshot.
 struct EngineProgress {
   std::uint64_t evaluations = 0;
   std::uint64_t emitted = 0;
@@ -251,20 +264,24 @@ class ScpmEngine {
 
   void set_budget(EngineBudget budget) { env_.budget = budget; }
 
-  /// Observer invoked at every wave boundary (from the driving thread).
+  /// Observer invoked at the end of every wave (see EngineProgress), from
+  /// the driving thread.
   void set_progress(std::function<void(const EngineProgress&)> progress) {
     env_.progress = std::move(progress);
   }
 
-  /// Periodic durability observer: at the first wave boundary at least
-  /// `interval_ms` after the previous snapshot (and after Run/Resume
-  /// entry), the observer receives a checkpoint of the remaining frontier
-  /// plus the segment's progress so far, then the run continues. The
-  /// snapshot is a copy, so it may outlive the run and the process. The
-  /// observer runs on the driving thread between waves (workers are
-  /// parked), so it may do I/O without racing the engine. interval_ms
-  /// == 0 or a null observer disables periodic snapshots; neither
-  /// affects what is mined or the budget-cut checkpoint in MiningRun.
+  /// Periodic durability observer: once `interval_ms` have passed since
+  /// the previous snapshot (or Run/Resume entry), the observer receives a
+  /// checkpoint of the remaining frontier plus the segment's progress so
+  /// far, then the run continues. A capped wave snapshots at its next
+  /// boundary. An open wave closes admission when the snapshot falls
+  /// due: running entries finish, entries not yet started stay on the
+  /// frontier, and the wave reopens after the snapshot. The snapshot is
+  /// a copy, so it may outlive the run and the process. The observer
+  /// runs on the driving thread while no entry runs, so it may do I/O
+  /// without racing the engine. interval_ms == 0 or a null observer
+  /// disables periodic snapshots; neither affects what is mined or the
+  /// budget-cut checkpoint in MiningRun.
   void set_checkpoint_observer(
       std::uint64_t interval_ms,
       std::function<void(const EngineCheckpoint&, const EngineProgress&)>
@@ -273,7 +290,7 @@ class ScpmEngine {
     env_.checkpoint_observer = std::move(observer);
   }
 
-  /// Runs waves on a caller-owned pool instead of building one per
+  /// Runs entries on a caller-owned pool instead of building one per
   /// Run/Resume, with intra-search decomposition drawing slots from the
   /// caller's budget. Both pointers are borrowed and must outlive every
   /// Run/Resume; pass nullptrs to return to per-run pools. Placement
@@ -293,8 +310,8 @@ class ScpmEngine {
 
   /// Borrows an external cancel token for the next Run/Resume (nullptr
   /// reverts to a per-run internal token). RequestCancel() from any
-  /// thread cuts the run at the next wave boundary exactly like a
-  /// deadline: in-flight entries are discarded whole and re-queued, the
+  /// thread cuts the run exactly like a deadline: in-flight entries are
+  /// discarded whole and re-queued with every entry not yet started, the
   /// run returns exhausted=false with a valid checkpoint, and nothing is
   /// ever emitted twice. The engine arms budget.deadline_ms on this
   /// token before the first wave; the caller must only RequestCancel,

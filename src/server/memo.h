@@ -1,9 +1,9 @@
 // Cross-query evaluation memo for the SCPM query server.
 //
-// PR 1's engine shares Theorem-3 covered sets *within* one run through a
-// mutex-striped cache whose entries die with their equivalence class.
-// This cache is that idea given a lifetime beyond one Mine() call: it
-// keeps complete attribute-set evaluations — the covered set K_S, the
+// Within one run the engine keeps each Theorem-3 covered set in the
+// equivalence class whose members' children read it, and drops it with
+// the class. This cache gives evaluations a lifetime beyond one Mine()
+// call: it keeps complete attribute-set evaluations — the covered set K_S, the
 // report decision with its stats and patterns, and the extendability
 // verdict — across queries, keyed by (graph epoch, options fingerprint,
 // attribute set). Because every stored value is a pure function of that

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "graph/attributed_graph.h"
 #include "nullmodel/expectation.h"
 #include "util/hybrid_set.h"
+#include "util/cancel.h"
 #include "util/random.h"
 
 namespace scpm {
@@ -763,6 +765,143 @@ TEST(WaveCutTest, PatternBudgetCutsAreThreadIndependentWithDefaultWaves) {
   }
 }
 
+// -------------------------------------------- open-wave stop paths
+
+/// A lattice with several levels below the roots: 10 attributes on 60
+/// vertices, every set extendable.
+AttributedGraph OpenWaveGraph() {
+  return RandomAttributed(29, /*n=*/60, /*num_attrs=*/10, /*edge_p=*/0.12,
+                          /*attr_p=*/0.5);
+}
+
+/// Resumes `checkpoint` to exhaustion with no budget, adding what the
+/// resume emits and counts to `united`.
+void ResumeInto(const AttributedGraph& g, const ScpmOptions& options,
+                const EngineCheckpoint& checkpoint, ScpmResult* united) {
+  Result<EngineCheckpoint> restored =
+      EngineCheckpoint::Parse(checkpoint.Serialize());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ScpmEngine engine(options);
+  AccumulatingSink sink;
+  Result<MiningRun> run = engine.Resume(g, *restored, &sink);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(run->exhausted);
+  ScpmResult segment = sink.TakeResult();
+  united->counters.MergeFrom(run->counters);
+  for (auto& s : segment.attribute_sets) {
+    united->attribute_sets.push_back(std::move(s));
+  }
+  for (auto& p : segment.patterns) united->patterns.push_back(std::move(p));
+}
+
+/// An unbudgeted run drains its lattice as one open wave. An external
+/// cancel latched from the sink after k emissions lands in that wave
+/// with spawned children still queued: every cancelled or unstarted
+/// entry goes back to the frontier whole, so the cut segment plus a
+/// resume emit the uncut run's sets once each, and their summed lattice
+/// and set-kernel counters equal the uncut run's.
+TEST(OpenWaveTest, ExternalCancelFromSinkResumesToSameUnion) {
+  const AttributedGraph g = OpenWaveGraph();
+  ScpmOptions options = WaveOptions();
+  const ScpmResult uncut = EngineAccumulate(g, options);
+  std::size_t root_rows = 0;
+  for (const AttributeSetStats& row : uncut.attribute_sets) {
+    if (row.attributes.size() == 1) ++root_rows;
+  }
+  const std::size_t tree_rows = uncut.attribute_sets.size() - root_rows;
+  ASSERT_GT(tree_rows, 100u) << "lattice too shallow to cut in the tree";
+
+  for (std::size_t threads : {2u, 8u}) {
+    for (std::size_t k : {root_rows + 1, root_rows + tree_rows / 3,
+                          root_rows + 2 * tree_rows / 3}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", k " +
+                   std::to_string(k));
+      ScpmOptions cell = options;
+      cell.num_threads = threads;
+      ScpmEngine engine(cell);
+      CancelToken token;
+      engine.set_cancel_token(&token);
+      AccumulatingSink rows;
+      std::size_t emitted = 0;
+      CallbackSink sink(
+          [&](const SinkKey& key, const AttributeSetOutput& out) {
+            if (++emitted == k) token.RequestCancel();
+            return rows.Emit(key, out);
+          });
+      Result<MiningRun> first = engine.Run(g, &sink);
+      ASSERT_TRUE(first.ok()) << first.status();
+      ASSERT_FALSE(first->exhausted);
+      EXPECT_FALSE(first->checkpoint.in_roots_phase);
+      EXPECT_GT(first->frontier_entries, 0u);
+      EXPECT_EQ(first->emitted, emitted);
+
+      ScpmResult united = rows.TakeResult();
+      united.counters = first->counters;
+      ResumeInto(g, cell, first->checkpoint, &united);
+      SortCanonical(&united);
+      ExpectSameCounters(uncut.counters, united.counters);
+      ExpectSameUnion(uncut, std::move(united));
+    }
+  }
+}
+
+/// A periodic snapshot that falls due in an open wave closes admission:
+/// running entries finish, the rest stay on the frontier, and the
+/// observer gets an entry-consistent tree-phase checkpoint. The paused
+/// run emits the uncut run's key set, and so does what it emitted before
+/// one snapshot plus a resume of that snapshot, with no key twice.
+TEST(OpenWaveTest, PeriodicSnapshotPausesOpenWaveAtConsistentFrontier) {
+  const AttributedGraph g = RandomAttributed(31, /*n=*/200, /*num_attrs=*/12,
+                                             /*edge_p=*/0.09, /*attr_p=*/0.4);
+  ScpmOptions options = WaveOptions();
+  options.num_threads = 4;
+  std::set<SinkKey> uncut;
+  CallbackSink uncut_sink([&](const SinkKey& key, const AttributeSetOutput&) {
+    uncut.insert(key);
+    return Status::OK();
+  });
+  ASSERT_TRUE(ScpmEngine(options).Run(g, &uncut_sink).ok());
+
+  std::mutex mutex;
+  std::vector<SinkKey> keys;
+  std::vector<std::pair<std::size_t, std::string>> snapshots;
+  ScpmEngine engine(options);
+  engine.set_checkpoint_observer(
+      1, [&](const EngineCheckpoint& cp, const EngineProgress& p) {
+        std::lock_guard<std::mutex> lock(mutex);
+        EXPECT_EQ(p.emitted, keys.size());
+        if (!cp.in_roots_phase) snapshots.emplace_back(keys.size(),
+                                                       cp.Serialize());
+      });
+  CallbackSink sink([&](const SinkKey& key, const AttributeSetOutput&) {
+    std::lock_guard<std::mutex> lock(mutex);
+    keys.push_back(key);
+    return Status::OK();
+  });
+  Result<MiningRun> run = engine.Run(g, &sink);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_TRUE(run->exhausted);
+  ASSERT_FALSE(snapshots.empty()) << "lattice phase too short for 1 ms";
+  EXPECT_EQ(std::set<SinkKey>(keys.begin(), keys.end()), uncut);
+  ASSERT_EQ(uncut.size(), keys.size());
+
+  const auto& [before, bytes] = snapshots[snapshots.size() / 2];
+  Result<EngineCheckpoint> cp = EngineCheckpoint::Parse(bytes);
+  ASSERT_TRUE(cp.ok()) << cp.status();
+  std::set<SinkKey> united(keys.begin(), keys.begin() + before);
+  std::size_t resumed = 0;
+  CallbackSink resume_sink([&](const SinkKey& key, const AttributeSetOutput&) {
+    ++resumed;
+    EXPECT_TRUE(united.insert(key).second) << "key emitted twice";
+    return Status::OK();
+  });
+  Result<MiningRun> rest = ScpmEngine(options).Resume(g, *cp, &resume_sink);
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  EXPECT_TRUE(rest->exhausted);
+  EXPECT_GT(resumed, 0u);
+  EXPECT_EQ(united, uncut);
+}
+
 // ------------------------------------------------- occurrence deliver
 
 /// Walks every frequent class below `cls` (members in `items` with their
@@ -1019,8 +1158,7 @@ Result<MiningRun> ResumeTripleClique(const EngineCheckpoint& cp,
 
 /// A checkpoint holding both a pending expansion of {0} and a class of
 /// {0}'s children ({0,1},{0,2}): the resumed run would create those
-/// children a second time, and the class that finishes first would
-/// evict the covered sets the other still reads.
+/// children, and emit their extensions, a second time.
 EngineCheckpoint ChildClassBesideItsPendingParent() {
   EngineCheckpoint cp = TripleCliqueTreeCheckpoint();
   cp.expansions = {{0, 0}};
@@ -1037,9 +1175,7 @@ EngineCheckpoint ChildClassBesideItsPendingParent() {
   return cp;
 }
 
-/// Resumed to exhaustion, this checkpoint would have EvaluateNode look
-/// up a parent covered set the other class already evicted ("parent
-/// covered set evicted before its children finished").
+/// Resumed to exhaustion, this checkpoint would emit sets twice.
 TEST(CheckpointTest, ResumeRejectsClassThatPendingExpansionRecreates) {
   Result<MiningRun> resumed =
       ResumeTripleClique(ChildClassBesideItsPendingParent(), EngineBudget());
@@ -1048,9 +1184,8 @@ TEST(CheckpointTest, ResumeRejectsClassThatPendingExpansionRecreates) {
       << resumed.status();
 }
 
-/// Cut after one wave, the same checkpoint would have BuildCheckpoint
-/// look up an evicted member covered set instead ("class member covered
-/// set missing at checkpoint").
+/// Cut after one wave, the same checkpoint would be written back out
+/// with the overlap still in it.
 TEST(CheckpointTest, ResumeRejectsOverlapBeforeCheckpointingIt) {
   EngineBudget budget;
   budget.max_evaluations = 1;
