@@ -349,7 +349,9 @@ int main(int argc, char** argv) {
        << "counters: " << scpm::FormatScpmCounters(run.counters) << "\n\n";
 
   if (!run.exhausted) {
-    info << "budget cut the run with " << run.frontier_entries
+    info << "budget cut the run in the "
+         << (run.checkpoint.in_roots_phase ? "roots" : "lattice")
+         << " phase with " << run.frontier_entries
          << " frontier entries left\n";
     if (!checkpoint_path.empty()) {
       std::ofstream out(checkpoint_path, std::ios::trunc | std::ios::binary);

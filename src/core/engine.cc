@@ -396,17 +396,15 @@ class EngineRunner {
   }
 
   /// The wave loop: drain the frontier until exhausted, cut, or error.
-  /// The roots phase and runs with a count budget drain it in capped
-  /// waves (RunWave), whose barriers put budget cuts at a deterministic
-  /// point; every other lattice phase is one open wave (RunOpenWave),
-  /// ended early only by the token or a periodic snapshot.
+  /// The lattice phase runs as one open wave (RunOpenWave) when
+  /// OpenWaveAllowed(); everything else drains in capped waves (RunWave).
   Status Drive() {
     if (env_.budget.deadline_ms != 0) {
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(env_.budget.deadline_ms);
       token_.SetDeadline(deadline_);
     }
-    last_snapshot_ = std::chrono::steady_clock::now();
+    auto last_snapshot = std::chrono::steady_clock::now();
     while (true) {
       if (has_error_.load()) return FirstError();
       if (frontier_.empty()) {
@@ -422,10 +420,10 @@ class EngineRunner {
         exhausted_ = false;
         return Status::OK();
       }
-      if (phase_roots_ || env_.budget.has_count_budget()) {
-        RunWave();
-      } else {
+      if (OpenWaveAllowed()) {
         RunOpenWave();
+      } else {
+        RunWave();
       }
       if (env_.progress || env_.checkpoint_observer) {
         EngineProgress p;
@@ -435,12 +433,16 @@ class EngineRunner {
         p.frontier_entries = frontier_.size();
         if (env_.progress) env_.progress(p);
         // Periodic durability snapshot: a checkpoint copy handed
-        // out between waves, when no entry is running and the
+        // out between waves, when the workers are parked and the
         // frontier is entry-consistent. Skipped when the walk just
         // finished — TakeRun() reports exhaustion instead.
-        if (SnapshotDue() && !(frontier_.empty() && !phase_roots_)) {
-          env_.checkpoint_observer(BuildCheckpoint(), p);
-          last_snapshot_ = std::chrono::steady_clock::now();
+        if (SnapshotsArmed() && !(frontier_.empty() && !phase_roots_)) {
+          const auto now = std::chrono::steady_clock::now();
+          if (now - last_snapshot >=
+              std::chrono::milliseconds(env_.checkpoint_interval_ms)) {
+            env_.checkpoint_observer(BuildCheckpoint(), p);
+            last_snapshot = std::chrono::steady_clock::now();
+          }
         }
       }
     }
@@ -479,20 +481,22 @@ class EngineRunner {
     }
   }
 
-  /// When the next periodic snapshot falls due (time_point::max() when
-  /// snapshots are off).
-  std::chrono::steady_clock::time_point NextSnapshot() const {
-    if (!env_.checkpoint_observer || env_.checkpoint_interval_ms == 0) {
-      return std::chrono::steady_clock::time_point::max();
-    }
-    return last_snapshot_ +
-           std::chrono::milliseconds(env_.checkpoint_interval_ms);
+  bool SnapshotsArmed() const {
+    return env_.checkpoint_observer && env_.checkpoint_interval_ms != 0;
   }
 
-  bool SnapshotDue() const {
-    const auto next = NextSnapshot();
-    return next != std::chrono::steady_clock::time_point::max() &&
-           std::chrono::steady_clock::now() >= next;
+  /// Whether the next wave may be an open one. The roots phase stays
+  /// capped (FormRootClass needs every singleton evaluated), and so do
+  /// runs that a capped wave's barrier serves: a count budget cuts there
+  /// at a thread-count-independent point, and a periodic snapshot is
+  /// taken there. So do runs without a pool of their own: without one
+  /// there is no barrier to remove, and on a shared pool a session's
+  /// self-feeding wave would keep the workers on its own deques while
+  /// other sessions' injected tasks wait, where capped waves let the
+  /// sessions' waves take turns in the injection queue.
+  bool OpenWaveAllowed() const {
+    return !phase_roots_ && !env_.budget.has_count_budget() &&
+           !SnapshotsArmed() && owned_pool_ != nullptr;
   }
 
   void PushRootEntry(std::size_t single) {
@@ -644,41 +648,17 @@ class EngineRunner {
     }
   }
 
-  /// Drains the lattice phase of a run without a count budget as one
-  /// self-feeding wave: the paper's depth-first walk, with no barrier
-  /// per level. Every frontier entry becomes a task of one group, and a
-  /// completed expansion spawns its children into the same group, onto
-  /// its worker's own deque: the owner pops the newest first, keeping the
-  /// walk depth-first, and thieves take the oldest, the largest subtrees.
-  /// A completed entry folds its bundle into its worker's state; the
-  /// sums are folded here once the group drains.
-  ///
-  /// Two things end the wave early. A latched token (deadline, cancel,
-  /// error) aborts the running searches, and every cancelled or not yet
-  /// started entry goes back to the frontier whole. A periodic snapshot
-  /// falling due closes admission instead: running entries finish, while
-  /// their children and every entry that starts later go back to the
-  /// frontier, so Drive snapshots an entry-consistent frontier and then
-  /// opens the next wave. Without a pool the wave is a LIFO loop over
-  /// the frontier that checks both between entries.
+  /// Drains the lattice phase as one self-feeding wave: the paper's
+  /// depth-first walk, with no barrier per level. Every frontier entry
+  /// becomes a task of one group, and a completed expansion spawns its
+  /// children into the same group, onto its worker's own deque: the owner
+  /// pops the newest first, keeping the walk depth-first, and thieves
+  /// take the oldest, the largest subtrees. A completed entry folds its
+  /// bundle into its worker's state; the sums are folded here once the
+  /// group drains. A latched token (deadline, cancel, error) ends the
+  /// wave early: the running searches abort, and every cancelled or not
+  /// yet started entry goes back to the frontier whole.
   void RunOpenWave() {
-    if (pool_ == nullptr) {
-      while (!frontier_.empty() && !token_.CheckNow() && !SnapshotDue()) {
-        FrontierEntry entry = std::move(frontier_.back());
-        frontier_.pop_back();
-        EntryResult result;
-        ProcessEntry(&entry, &result);
-        if (result.cancelled) {
-          frontier_.push_back(std::move(entry));
-          return;
-        }
-        total_.MergeFrom(result.bundle);
-        for (FrontierEntry& child : result.children) {
-          frontier_.push_back(std::move(child));
-        }
-      }
-      return;
-    }
     ThreadPool::TaskGroup group;
     // The frontier's first entry is spawned first; injected tasks leave
     // in spawn order, so the root class's heaviest members start first.
@@ -686,16 +666,9 @@ class EngineRunner {
       SpawnOpenEntry(&group, std::move(entry));
     }
     frontier_.clear();
-    const auto snapshot = NextSnapshot();
-    if (snapshot != std::chrono::steady_clock::time_point::max() &&
-        (env_.budget.deadline_ms == 0 || snapshot < deadline_) &&
-        !pool_->WaitForUntil(&group, snapshot)) {
-      admission_closed_.store(true);
-    }
     AwaitWave(&group);
-    admission_closed_.store(false);
-    frontier_ = std::move(returned_);
-    returned_.clear();
+    frontier_ = std::move(cancelled_);
+    cancelled_.clear();
     for (const std::unique_ptr<WorkerState>& ws : states_) {
       total_.MergeFrom(ws->completed);
       ws->completed = CounterBundle();
@@ -713,26 +686,18 @@ class EngineRunner {
     EntryResult result;
     ProcessEntry(&entry, &result);
     if (result.cancelled) {
-      ReturnToFrontier(std::move(entry));
+      std::lock_guard<std::mutex> lock(cancelled_mutex_);
+      cancelled_.push_back(std::move(entry));
       return;
     }
     State().completed.MergeFrom(result.bundle);
     for (FrontierEntry& child : result.children) {
-      if (admission_closed_.load()) {
-        ReturnToFrontier(std::move(child));
-      } else {
-        SpawnOpenEntry(group, std::move(child));
-      }
+      SpawnOpenEntry(group, std::move(child));
     }
   }
 
-  void ReturnToFrontier(FrontierEntry entry) {
-    std::lock_guard<std::mutex> lock(returned_mutex_);
-    returned_.push_back(std::move(entry));
-  }
-
   void ProcessEntry(FrontierEntry* entry, EntryResult* result) {
-    if (has_error_.load() || token_.cancelled() || admission_closed_.load()) {
+    if (has_error_.load() || token_.cancelled()) {
       result->cancelled = true;
       return;
     }
@@ -1177,19 +1142,15 @@ class EngineRunner {
   CancelToken& token_;
   std::chrono::steady_clock::time_point deadline_{};
 
-  std::chrono::steady_clock::time_point last_snapshot_{};
-
   std::vector<std::unique_ptr<WorkerState>> states_;
 
   bool phase_roots_ = false;
   std::vector<RootSlot> singles_;
   std::vector<FrontierEntry> frontier_;
 
-  // Open waves only: set while a due snapshot drains the wave, and the
-  // entries the wave hands back to the frontier.
-  std::atomic<bool> admission_closed_{false};
-  std::mutex returned_mutex_;
-  std::vector<FrontierEntry> returned_;
+  // Open waves only: the entries a latched token sent back.
+  std::mutex cancelled_mutex_;
+  std::vector<FrontierEntry> cancelled_;
 
   CounterBundle total_;
   bool exhausted_ = false;

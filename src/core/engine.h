@@ -12,12 +12,13 @@
 // the run's PatternSink, and turns the extendable children's class into
 // new entries.
 //
-// How the frontier drains depends on the budget. The roots phase, and
-// the lattice phase of a run with an evaluation or pattern budget, run
-// in capped waves: each wave is filled to a fixed evaluation mass (less
-// what is left of the budget) and ends in a barrier, which is what puts
-// a count-budget cut at a thread-count-independent point. Every other
-// lattice phase is one open wave: each entry is a pool task, and a
+// How the frontier drains depends on the run. By default it drains in
+// capped waves: each wave is filled to a fixed evaluation mass (less
+// what is left of a budget) and ends in a barrier, which is what puts a
+// count-budget cut at a thread-count-independent point and a periodic
+// snapshot at an entry-consistent one. The lattice phase of a run on
+// its own pool, with no evaluation or pattern budget and no periodic
+// snapshots, is instead one open wave: each entry is a pool task, and a
 // completed expansion spawns its children straight into the running
 // wave, so the walk runs depth-first with no per-level barrier.
 //
@@ -225,7 +226,7 @@ struct MiningRun {
 
 /// Progress snapshot for observers, taken at the end of each wave: every
 /// capped wave, and each open wave (see the file comment), which ends
-/// when the lattice is drained, cut, or paused for a periodic snapshot.
+/// when the lattice is drained or cut.
 struct EngineProgress {
   std::uint64_t evaluations = 0;
   std::uint64_t emitted = 0;
@@ -270,18 +271,16 @@ class ScpmEngine {
     env_.progress = std::move(progress);
   }
 
-  /// Periodic durability observer: once `interval_ms` have passed since
-  /// the previous snapshot (or Run/Resume entry), the observer receives a
-  /// checkpoint of the remaining frontier plus the segment's progress so
-  /// far, then the run continues. A capped wave snapshots at its next
-  /// boundary. An open wave closes admission when the snapshot falls
-  /// due: running entries finish, entries not yet started stay on the
-  /// frontier, and the wave reopens after the snapshot. The snapshot is
-  /// a copy, so it may outlive the run and the process. The observer
-  /// runs on the driving thread while no entry runs, so it may do I/O
-  /// without racing the engine. interval_ms == 0 or a null observer
-  /// disables periodic snapshots; neither affects what is mined or the
-  /// budget-cut checkpoint in MiningRun.
+  /// Periodic durability observer: at the first wave boundary at least
+  /// `interval_ms` after the previous snapshot (and after Run/Resume
+  /// entry), the observer receives a checkpoint of the remaining frontier
+  /// plus the segment's progress so far, then the run continues. A run
+  /// with an observer drains in capped waves, so boundaries keep coming.
+  /// The snapshot is a copy, so it may outlive the run and the process.
+  /// The observer runs on the driving thread between waves (no entry
+  /// runs), so it may do I/O without racing the engine. interval_ms
+  /// == 0 or a null observer disables periodic snapshots; neither
+  /// affects what is mined or the budget-cut checkpoint in MiningRun.
   void set_checkpoint_observer(
       std::uint64_t interval_ms,
       std::function<void(const EngineCheckpoint&, const EngineProgress&)>
@@ -297,7 +296,9 @@ class ScpmEngine {
   /// only: the shared pool overrides options.num_threads for *where*
   /// tasks execute, never for what is mined, so output stays
   /// byte-identical. This is what lets one resident server multiplex
-  /// many concurrent engine runs over one set of worker threads.
+  /// many concurrent engine runs over one set of worker threads. A run on
+  /// a shared pool drains in capped waves, so concurrent runs' waves take
+  /// turns in the pool's injection queue.
   void set_shared_pool(ThreadPool* pool, ParallelismBudget* intra_budget) {
     env_.shared_pool = pool;
     env_.shared_intra_budget = intra_budget;

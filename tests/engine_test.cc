@@ -27,6 +27,7 @@
 #include "util/hybrid_set.h"
 #include "util/cancel.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace scpm {
 namespace {
@@ -765,7 +766,7 @@ TEST(WaveCutTest, PatternBudgetCutsAreThreadIndependentWithDefaultWaves) {
   }
 }
 
-// -------------------------------------------- open-wave stop paths
+// ------------------------------------- open waves and their stop paths
 
 /// A lattice with several levels below the roots: 10 attributes on 60
 /// vertices, every set extendable.
@@ -794,12 +795,52 @@ void ResumeInto(const AttributedGraph& g, const ScpmOptions& options,
   for (auto& p : segment.patterns) united->patterns.push_back(std::move(p));
 }
 
-/// An unbudgeted run drains its lattice as one open wave. An external
-/// cancel latched from the sink after k emissions lands in that wave
-/// with spawned children still queued: every cancelled or unstarted
-/// entry goes back to the frontier whole, so the cut segment plus a
-/// resume emit the uncut run's sets once each, and their summed lattice
-/// and set-kernel counters equal the uncut run's.
+/// Progress callbacks, one per wave, of an unbudgeted run of `engine`.
+std::size_t CountWaves(const AttributedGraph& g, ScpmEngine* engine) {
+  std::size_t waves = 0;
+  engine->set_progress([&waves](const EngineProgress&) { ++waves; });
+  AccumulatingSink sink;
+  Result<MiningRun> run = engine->Run(g, &sink);
+  EXPECT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(run.ok() && run->exhausted);
+  return waves;
+}
+
+/// Only a run on its own pool with no count budget and no periodic
+/// snapshots drains its lattice as one open wave: one wave for the ten
+/// roots, one for the lattice. A periodic observer (armed, never due),
+/// a shared pool and a single thread each keep capped waves, one or
+/// more per lattice level.
+TEST(OpenWaveTest, OnlyAnUnbudgetedRunOnItsOwnPoolOpensTheLattice) {
+  const AttributedGraph g = OpenWaveGraph();
+  ScpmOptions options = WaveOptions();
+  options.num_threads = 4;
+
+  ScpmEngine open(options);
+  EXPECT_EQ(CountWaves(g, &open), 2u);
+
+  ScpmEngine observed(options);
+  observed.set_checkpoint_observer(
+      3600 * 1000, [](const EngineCheckpoint&, const EngineProgress&) {});
+  EXPECT_GT(CountWaves(g, &observed), 3u);
+
+  ThreadPool pool(4);
+  ParallelismBudget intra(8);
+  ScpmEngine shared(options);
+  shared.set_shared_pool(&pool, &intra);
+  EXPECT_GT(CountWaves(g, &shared), 3u);
+
+  options.num_threads = 1;
+  ScpmEngine sequential(options);
+  EXPECT_GT(CountWaves(g, &sequential), 3u);
+}
+
+/// An unbudgeted run on its own pool drains its lattice as one open
+/// wave. An external cancel latched from the sink after k emissions
+/// lands in that wave with spawned children still queued: every
+/// cancelled or unstarted entry goes back to the frontier whole, so the
+/// cut segment plus a resume emit the uncut run's sets once each, and
+/// their summed lattice and set-kernel counters equal the uncut run's.
 TEST(OpenWaveTest, ExternalCancelFromSinkResumesToSameUnion) {
   const AttributedGraph g = OpenWaveGraph();
   ScpmOptions options = WaveOptions();
@@ -845,12 +886,12 @@ TEST(OpenWaveTest, ExternalCancelFromSinkResumesToSameUnion) {
   }
 }
 
-/// A periodic snapshot that falls due in an open wave closes admission:
-/// running entries finish, the rest stay on the frontier, and the
-/// observer gets an entry-consistent tree-phase checkpoint. The paused
-/// run emits the uncut run's key set, and so does what it emitted before
-/// one snapshot plus a resume of that snapshot, with no key twice.
-TEST(OpenWaveTest, PeriodicSnapshotPausesOpenWaveAtConsistentFrontier) {
+/// A run with a periodic observer drains its lattice in capped waves,
+/// and the observer gets entry-consistent tree-phase checkpoints between
+/// them. The observed run emits the uncut run's key set, and so does
+/// what it emitted before one snapshot plus a resume of that snapshot,
+/// with no key twice.
+TEST(PeriodicSnapshotTest, TreePhaseSnapshotResumesToUncutKeys) {
   const AttributedGraph g = RandomAttributed(31, /*n=*/200, /*num_attrs=*/12,
                                              /*edge_p=*/0.09, /*attr_p=*/0.4);
   ScpmOptions options = WaveOptions();
