@@ -1,55 +1,11 @@
 #include "core/sink.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
+#include "util/json_text.h"
+
 namespace scpm {
-
-namespace {
-
-/// Shortest round-trip rendering of a double (JSON-safe: finite inputs
-/// only; the engine never emits NaN/inf).
-void AppendDouble(std::string* out, double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  *out += buf;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
-
-template <typename T>
-void AppendIdArray(std::string* out, const std::vector<T>& ids) {
-  *out += '[';
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i != 0) *out += ',';
-    *out += std::to_string(ids[i]);
-  }
-  *out += ']';
-}
-
-}  // namespace
 
 Status AccumulatingSink::Emit(const SinkKey& key, AttributeSetOutput output) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -91,7 +47,7 @@ Status JsonlSink::Emit(const SinkKey& key, AttributeSetOutput output) {
   std::string line;
   line.reserve(128 + 32 * output.patterns.size());
   line += "{\"attributes\":";
-  AppendIdArray(&line, output.stats.attributes);
+  AppendJsonIdArray(&line, output.stats.attributes);
   if (graph_ != nullptr) {
     line += ",\"names\":[";
     for (std::size_t i = 0; i < output.stats.attributes.size(); ++i) {
@@ -101,24 +57,26 @@ Status JsonlSink::Emit(const SinkKey& key, AttributeSetOutput output) {
     }
     line += ']';
   }
-  line += ",\"support\":" + std::to_string(output.stats.support);
-  line += ",\"covered\":" + std::to_string(output.stats.covered);
+  line += ",\"support\":";
+  AppendJsonNumber(&line, static_cast<double>(output.stats.support));
+  line += ",\"covered\":";
+  AppendJsonNumber(&line, static_cast<double>(output.stats.covered));
   line += ",\"epsilon\":";
-  AppendDouble(&line, output.stats.epsilon);
+  AppendJsonNumber(&line, output.stats.epsilon);
   line += ",\"expected_epsilon\":";
-  AppendDouble(&line, output.stats.expected_epsilon);
+  AppendJsonNumber(&line, output.stats.expected_epsilon);
   line += ",\"delta\":";
-  AppendDouble(&line, output.stats.delta);
+  AppendJsonNumber(&line, output.stats.delta);
   line += ",\"patterns\":[";
   for (std::size_t i = 0; i < output.patterns.size(); ++i) {
     const StructuralCorrelationPattern& p = output.patterns[i];
     if (i != 0) line += ',';
     line += "{\"vertices\":";
-    AppendIdArray(&line, p.vertices);
+    AppendJsonIdArray(&line, p.vertices);
     line += ",\"gamma\":";
-    AppendDouble(&line, p.min_degree_ratio);
+    AppendJsonNumber(&line, p.min_degree_ratio);
     line += ",\"density\":";
-    AppendDouble(&line, p.edge_density);
+    AppendJsonNumber(&line, p.edge_density);
     line += '}';
   }
   line += "]}\n";

@@ -88,7 +88,11 @@ class AccumulatingSink : public PatternSink {
 /// Streams one self-contained JSON object per attribute set to an
 /// ostream, flushing per line so a budget cut (or a crash) loses at most
 /// the line being written. With a graph attached, attribute names ride
-/// along; vertex ids are always raw.
+/// along; vertex ids are always raw. A line's keys are attributes,
+/// names, support, covered, epsilon, expected_epsilon, delta and
+/// patterns (each with vertices, gamma, density), in that order; its
+/// strings and numbers go through util/json_text.h, like the server's
+/// wire rows (server/session.h), which use another layout.
 class JsonlSink : public PatternSink {
  public:
   /// Borrowed stream; must outlive the sink.

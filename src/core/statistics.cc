@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
+
+#include "util/json_text.h"
 
 namespace scpm {
 namespace {
@@ -56,17 +59,27 @@ std::string FormatScpmCounters(const ScpmCounters& counters) {
 }
 
 std::string ScpmCountersJson(const ScpmCounters& counters) {
-  std::ostringstream os;
-  os << "{\"attribute_sets_evaluated\":" << counters.attribute_sets_evaluated
-     << ",\"attribute_sets_reported\":" << counters.attribute_sets_reported
-     << ",\"attribute_sets_extended\":" << counters.attribute_sets_extended
-     << ",\"coverage_candidates\":" << counters.coverage_candidates
-     << ",\"intra_search_evaluations\":" << counters.intra_search_evaluations
-     << ",\"intra_branch_tasks\":" << counters.intra_branch_tasks
-     << ",\"bitmap_intersections\":" << counters.bitmap_intersections
-     << ",\"galloping_intersections\":" << counters.galloping_intersections
-     << ",\"dense_conversions\":" << counters.dense_conversions << "}";
-  return os.str();
+  // Sorted keys: the bytes JsonValue::Dump would give the same object.
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"attribute_sets_evaluated", counters.attribute_sets_evaluated},
+      {"attribute_sets_extended", counters.attribute_sets_extended},
+      {"attribute_sets_reported", counters.attribute_sets_reported},
+      {"bitmap_intersections", counters.bitmap_intersections},
+      {"coverage_candidates", counters.coverage_candidates},
+      {"dense_conversions", counters.dense_conversions},
+      {"galloping_intersections", counters.galloping_intersections},
+      {"intra_branch_tasks", counters.intra_branch_tasks},
+      {"intra_search_evaluations", counters.intra_search_evaluations},
+  };
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    if (out.size() > 1) out += ',';
+    AppendJsonString(&out, key);
+    out += ':';
+    AppendJsonNumber(&out, static_cast<double>(value));
+  }
+  out += '}';
+  return out;
 }
 
 }  // namespace scpm

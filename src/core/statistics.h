@@ -31,9 +31,11 @@ OutputSummary SummarizeOutput(const std::vector<AttributeSetStats>& stats);
 /// intra_tasks=33 bitmap_isects=90 gallop_isects=2 dense_convs=7".
 std::string FormatScpmCounters(const ScpmCounters& counters);
 
-/// The same counters as a flat JSON object (keys match the field names);
-/// the bench smoke jobs embed this in their BENCH_*.json artifacts so the
-/// effort trajectory is tracked alongside the timings.
+/// The same counters as a flat JSON object (keys match the field names,
+/// in sorted order, as JsonValue::Dump writes an object). The server's
+/// `counters` response member embeds it verbatim; the bench smoke jobs
+/// embed it in their BENCH_*.json artifacts so the effort trajectory is
+/// tracked alongside the timings.
 std::string ScpmCountersJson(const ScpmCounters& counters);
 
 }  // namespace scpm

@@ -3,8 +3,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <utility>
+
+#include "util/json_text.h"
 
 namespace scpm {
 
@@ -247,26 +248,14 @@ void DumpTo(const JsonValue& value, std::string* out) {
     case JsonValue::Type::kBool:
       *out += value.AsBool() ? "true" : "false";
       return;
-    case JsonValue::Type::kNumber: {
-      const double d = value.AsNumber();
-      if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-        // Integer-valued numbers print without a fraction: ids, counts,
-        // and byte sizes stay grep-able on the wire.
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(d));
-        *out += buf;
-      } else if (std::isfinite(d)) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-        *out += buf;
-      } else {
-        *out += "null";  // JSON has no inf/nan
-      }
+    case JsonValue::Type::kNumber:
+      AppendJsonNumber(out, value.AsNumber());
       return;
-    }
     case JsonValue::Type::kString:
-      *out += JsonQuote(value.AsString());
+      AppendJsonString(out, value.AsString());
+      return;
+    case JsonValue::Type::kRaw:
+      *out += value.AsRawText();
       return;
     case JsonValue::Type::kArray: {
       *out += '[';
@@ -285,7 +274,7 @@ void DumpTo(const JsonValue& value, std::string* out) {
       for (const auto& [key, element] : value.AsObject()) {
         if (!first) *out += ',';
         first = false;
-        *out += JsonQuote(key);
+        AppendJsonString(out, key);
         *out += ':';
         DumpTo(element, out);
       }
@@ -323,6 +312,13 @@ bool JsonValue::BoolOr(const std::string& key, bool fallback) const {
   return v != nullptr && v->is_bool() ? v->AsBool() : fallback;
 }
 
+JsonValue JsonValue::Raw(std::string text) {
+  JsonValue value;
+  value.type_ = Type::kRaw;
+  value.string_ = std::move(text);
+  return value;
+}
+
 std::string JsonValue::Dump() const {
   std::string out;
   DumpTo(*this, &out);
@@ -345,36 +341,7 @@ Result<std::uint64_t> JsonWholeNumber(const JsonValue& value,
 std::string JsonQuote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+  AppendJsonString(&out, s);
   return out;
 }
 

@@ -10,7 +10,12 @@
 //
 // Objects preserve no insertion order; Dump() emits keys sorted, so a
 // serialized value is deterministic — tests and the docs-drift gate rely
-// on that.
+// on that. Every string and number is written by the shared primitives
+// of util/json_text.h.
+//
+// A response member too large to build as a tree (the server's result
+// rows, server/session.h) is written straight to text and embedded as
+// a pre-serialized value (JsonValue::Raw), which Dump() copies verbatim.
 
 #ifndef SCPM_SERVER_JSON_H_
 #define SCPM_SERVER_JSON_H_
@@ -27,7 +32,8 @@ namespace scpm {
 
 class JsonValue {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  /// kRaw is pre-serialized text (see Raw); Parse() never produces it.
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject, kRaw };
 
   using Array = std::vector<JsonValue>;
   using Object = std::map<std::string, JsonValue>;
@@ -43,6 +49,13 @@ class JsonValue {
   explicit JsonValue(Array a) : type_(Type::kArray), array_(std::move(a)) {}
   explicit JsonValue(Object o) : type_(Type::kObject), object_(std::move(o)) {}
 
+  /// Pre-serialized JSON text that Dump() copies verbatim. The caller
+  /// vouches that `text` is exactly one valid JSON value written by the
+  /// util/json_text.h primitives (keys in sorted order), so a tree
+  /// holding it dumps to the bytes of its plain form. It is opaque to
+  /// every accessor: each is_*() is false and Find() sees no members.
+  static JsonValue Raw(std::string text);
+
   /// Parses exactly one JSON value; trailing non-whitespace is an error.
   static Result<JsonValue> Parse(std::string_view text);
 
@@ -57,6 +70,7 @@ class JsonValue {
   bool AsBool() const { return bool_; }
   double AsNumber() const { return number_; }
   const std::string& AsString() const { return string_; }
+  const std::string& AsRawText() const { return string_; }
   const Array& AsArray() const { return array_; }
   const Object& AsObject() const { return object_; }
   Array* MutableArray() { return &array_; }
@@ -71,7 +85,7 @@ class JsonValue {
                        const std::string& fallback) const;
   bool BoolOr(const std::string& key, bool fallback) const;
 
-  /// Compact serialization (sorted keys, shortest round-trip numbers).
+  /// Compact serialization (sorted keys, round-trip numbers).
   std::string Dump() const;
 
   /// Convenience builders.
@@ -91,7 +105,7 @@ class JsonValue {
 };
 
 /// Escapes a string for embedding in a JSON document (quotes included in
-/// the output).
+/// the output), by AppendJsonString's rule.
 std::string JsonQuote(std::string_view s);
 
 /// The wire rule for integer members: a whole number from 0 to `max`.

@@ -9,6 +9,7 @@
 #include "graph/attributed_graph.h"
 #include "server/journal.h"
 #include "util/fault.h"
+#include "util/json_text.h"
 
 namespace scpm {
 
@@ -32,48 +33,42 @@ Status ReadWhole(const JsonValue& value, const std::string& key, T* out) {
   return Status::OK();
 }
 
-JsonValue IdArray(const std::vector<AttributeId>& ids) {
-  JsonValue out = JsonValue::MakeArray();
-  for (AttributeId a : ids) {
-    out.MutableArray()->push_back(JsonValue(std::uint64_t{a}));
-  }
-  return out;
+void AppendPatternJson(std::string* out,
+                       const StructuralCorrelationPattern& pattern) {
+  *out += "{\"attributes\":";
+  AppendJsonIdArray(out, pattern.attributes);
+  *out += ",\"edge_density\":";
+  AppendJsonNumber(out, pattern.edge_density);
+  *out += ",\"min_degree_ratio\":";
+  AppendJsonNumber(out, pattern.min_degree_ratio);
+  *out += ",\"vertices\":";
+  AppendJsonIdArray(out, pattern.vertices);
+  *out += '}';
 }
 
-JsonValue VertexArray(const VertexSet& vertices) {
-  JsonValue out = JsonValue::MakeArray();
-  for (VertexId v : vertices) {
-    out.MutableArray()->push_back(JsonValue(static_cast<std::uint64_t>(v)));
-  }
-  return out;
-}
-
-JsonValue PatternToJson(const StructuralCorrelationPattern& pattern) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("attributes", IdArray(pattern.attributes));
-  out.Set("vertices", VertexArray(pattern.vertices));
-  out.Set("min_degree_ratio", JsonValue(pattern.min_degree_ratio));
-  out.Set("edge_density", JsonValue(pattern.edge_density));
-  return out;
-}
-
-JsonValue StatsToJson(const AttributeSetStats& stats,
-                      const AttributedGraph* graph) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("attributes", IdArray(stats.attributes));
+void AppendRowJson(std::string* out, const AttributeSetStats& stats,
+                   const AttributedGraph* graph) {
+  *out += "{\"attributes\":";
+  AppendJsonIdArray(out, stats.attributes);
+  *out += ",\"covered\":";
+  AppendJsonNumber(out, static_cast<double>(stats.covered));
+  *out += ",\"delta\":";
+  AppendJsonNumber(out, stats.delta);
+  *out += ",\"epsilon\":";
+  AppendJsonNumber(out, stats.epsilon);
+  *out += ",\"expected_epsilon\":";
+  AppendJsonNumber(out, stats.expected_epsilon);
   if (graph != nullptr) {
-    JsonValue names = JsonValue::MakeArray();
-    for (AttributeId a : stats.attributes) {
-      names.MutableArray()->push_back(JsonValue(graph->AttributeName(a)));
+    *out += ",\"names\":[";
+    for (std::size_t i = 0; i < stats.attributes.size(); ++i) {
+      if (i != 0) *out += ',';
+      AppendJsonString(out, graph->AttributeName(stats.attributes[i]));
     }
-    out.Set("names", std::move(names));
+    *out += ']';
   }
-  out.Set("support", JsonValue(std::uint64_t{stats.support}));
-  out.Set("covered", JsonValue(std::uint64_t{stats.covered}));
-  out.Set("epsilon", JsonValue(stats.epsilon));
-  out.Set("expected_epsilon", JsonValue(stats.expected_epsilon));
-  out.Set("delta", JsonValue(stats.delta));
-  return out;
+  *out += ",\"support\":";
+  AppendJsonNumber(out, static_cast<double>(stats.support));
+  *out += '}';
 }
 
 /// min of two limits where 0 means "unlimited".
@@ -101,22 +96,29 @@ const char* QueryStateName(QueryState state) {
   return "unknown";
 }
 
-JsonValue CountersToJson(const ScpmCounters& counters) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("attribute_sets_evaluated",
-          JsonValue(counters.attribute_sets_evaluated));
-  out.Set("attribute_sets_reported",
-          JsonValue(counters.attribute_sets_reported));
-  out.Set("attribute_sets_extended",
-          JsonValue(counters.attribute_sets_extended));
-  out.Set("coverage_candidates", JsonValue(counters.coverage_candidates));
-  out.Set("intra_search_evaluations",
-          JsonValue(counters.intra_search_evaluations));
-  out.Set("intra_branch_tasks", JsonValue(counters.intra_branch_tasks));
-  out.Set("bitmap_intersections", JsonValue(counters.bitmap_intersections));
-  out.Set("galloping_intersections",
-          JsonValue(counters.galloping_intersections));
-  out.Set("dense_conversions", JsonValue(counters.dense_conversions));
+std::string AttributeSetRowsJson(const std::vector<AttributeSetStats>& rows,
+                                 const AttributedGraph* graph) {
+  std::string out;
+  out.reserve(2 + 128 * rows.size());
+  out += '[';
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i != 0) out += ',';
+    AppendRowJson(&out, rows[i], graph);
+  }
+  out += ']';
+  return out;
+}
+
+std::string PatternsJson(
+    const std::vector<StructuralCorrelationPattern>& patterns) {
+  std::string out;
+  out.reserve(2 + 96 * patterns.size());
+  out += '[';
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    if (i != 0) out += ',';
+    AppendPatternJson(&out, patterns[i]);
+  }
+  out += ']';
   return out;
 }
 
@@ -691,31 +693,21 @@ JsonValue QuerySession::Describe(const AttributedGraph* graph) const {
   out.Set("patterns_emitted", JsonValue(run_.patterns_emitted));
   out.Set("memo_hits", JsonValue(run_.memo_hits));
   out.Set("memo_misses", JsonValue(run_.memo_misses));
-  out.Set("counters", CountersToJson(run_.counters));
+  out.Set("counters", JsonValue::Raw(ScpmCountersJson(run_.counters)));
 
   JsonValue result = JsonValue::MakeObject();
   if (spec_.sink == QuerySpec::Sink::kAccumulate) {
-    JsonValue rows = JsonValue::MakeArray();
-    for (const AttributeSetStats& stats : result_.attribute_sets) {
-      rows.MutableArray()->push_back(StatsToJson(stats, graph));
-    }
-    JsonValue patterns = JsonValue::MakeArray();
-    for (const StructuralCorrelationPattern& p : result_.patterns) {
-      patterns.MutableArray()->push_back(PatternToJson(p));
-    }
-    result.Set("attribute_sets", std::move(rows));
-    result.Set("patterns", std::move(patterns));
+    result.Set("attribute_sets",
+               JsonValue::Raw(AttributeSetRowsJson(result_.attribute_sets,
+                                                   graph)));
+    result.Set("patterns", JsonValue::Raw(PatternsJson(result_.patterns)));
     result.Set("rows_returned",
                JsonValue(std::uint64_t{result_.attribute_sets.size()}));
   } else if (spec_.sink == QuerySpec::Sink::kJsonl) {
     result.Set("out", JsonValue(spec_.jsonl_path));
     result.Set("lines", JsonValue(jsonl_lines_));
   } else {
-    JsonValue patterns = JsonValue::MakeArray();
-    for (const StructuralCorrelationPattern& p : top_patterns_) {
-      patterns.MutableArray()->push_back(PatternToJson(p));
-    }
-    result.Set("patterns", std::move(patterns));
+    result.Set("patterns", JsonValue::Raw(PatternsJson(top_patterns_)));
     result.Set("sets_seen", JsonValue(topk_sets_seen_));
   }
   out.Set("result", std::move(result));

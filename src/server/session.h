@@ -193,6 +193,9 @@ class QuerySession {
   /// slice count, memo + engine counters, and the sink-dependent
   /// result payload (in terminal states). `graph` supplies attribute
   /// names when the session never bound one; the pinned graph wins.
+  /// The counters (ScpmCountersJson), rows (AttributeSetRowsJson) and
+  /// patterns (PatternsJson) are written straight to text and embedded
+  /// as JsonValue::Raw members, never built as a tree.
   JsonValue Describe(const AttributedGraph* graph) const;
 
   // Terminal-state accessors for in-process callers (tests, smoke
@@ -270,9 +273,20 @@ class QuerySession {
   std::uint64_t jsonl_lines_ = 0;                           // jsonl
 };
 
-/// Engine counters as a JSON object (sorted keys; field names match
-/// ScpmCountersJson / docs/SERVER.md).
-JsonValue CountersToJson(const ScpmCounters& counters);
+/// An accumulate result's `attribute_sets` member as wire JSON text,
+/// written straight from the rows: one object per row with keys in
+/// sorted order — attributes, covered, delta, epsilon,
+/// expected_epsilon, names (only with a graph), support — the bytes
+/// JsonValue::Dump gives the same rows built as a tree. Describe()
+/// embeds it through JsonValue::Raw. (JsonlSink writes the same row
+/// with its own layout: core/sink.h.)
+std::string AttributeSetRowsJson(const std::vector<AttributeSetStats>& rows,
+                                 const AttributedGraph* graph);
+
+/// A `patterns` member (accumulate and topk results) as wire JSON text,
+/// keys sorted: attributes, edge_density, min_degree_ratio, vertices.
+std::string PatternsJson(
+    const std::vector<StructuralCorrelationPattern>& patterns);
 
 }  // namespace scpm
 

@@ -3,15 +3,12 @@
 // graphs, Theorem 3/4/5 pruning soundness, top-k semantics, reporting.
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "core/export.h"
 #include "core/naive.h"
 #include "core/pattern.h"
 #include "core/report.h"
@@ -743,70 +740,6 @@ TEST_P(ScorpSweep, SupersetOfScpmTopK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScorpSweep, ::testing::Range(0, 6));
-
-// -------------------------------------------------------------- exports
-
-TEST(ExportTest, AttributeSetsCsvShape) {
-  const AttributedGraph g = PaperExampleGraph();
-  ScpmMiner miner(Table1Options());
-  Result<ScpmResult> result = miner.Mine(g);
-  ASSERT_TRUE(result.ok());
-  std::ostringstream os;
-  ASSERT_TRUE(WriteAttributeSetsCsv(g, *result, os).ok());
-  std::istringstream in(os.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line,
-            "attributes,support,covered,epsilon,expected_epsilon,delta");
-  std::size_t rows = 0;
-  while (std::getline(in, line)) {
-    ++rows;
-    EXPECT_EQ(std::count(line.begin(), line.end(), ','), 5);
-  }
-  EXPECT_EQ(rows, result->attribute_sets.size());
-}
-
-TEST(ExportTest, PatternsCsvShape) {
-  const AttributedGraph g = PaperExampleGraph();
-  ScpmMiner miner(Table1Options());
-  Result<ScpmResult> result = miner.Mine(g);
-  ASSERT_TRUE(result.ok());
-  std::ostringstream os;
-  ASSERT_TRUE(WritePatternsCsv(g, *result, os).ok());
-  std::istringstream in(os.str());
-  std::string line;
-  std::size_t rows = 0;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, result->patterns.size());
-}
-
-TEST(ExportTest, CsvEscape) {
-  EXPECT_EQ(CsvEscape("plain"), "plain");
-  EXPECT_EQ(CsvEscape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvEscape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvEscape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(ExportTest, FileRoundTrip) {
-  const AttributedGraph g = PaperExampleGraph();
-  ScpmMiner miner(Table1Options());
-  Result<ScpmResult> result = miner.Mine(g);
-  ASSERT_TRUE(result.ok());
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("scpm_export_" + std::to_string(::getpid()) + ".csv");
-  ASSERT_TRUE(WritePatternsCsv(g, *result, path.string()).ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::filesystem::remove(path);
-}
-
-TEST(ExportTest, MissingDirectoryIsIoError) {
-  const AttributedGraph g = PaperExampleGraph();
-  ScpmResult empty;
-  EXPECT_EQ(WritePatternsCsv(g, empty, "/nonexistent/dir/x.csv").code(),
-            StatusCode::kIoError);
-}
 
 // ----------------------------------------------------- sim-exp null model
 

@@ -4,7 +4,9 @@
 // depth, cancellation of queued and running queries, streaming sinks
 // through the server, the wire protocol via HandleRequest, the socket
 // front end's request-line cap and its reaping of closed connections'
-// threads, and memo-disabled operation. The concurrency tests run under
+// threads, memo-disabled operation, and the result text writers (rows,
+// patterns and counters written straight to text) against the JsonValue
+// trees they replaced, byte for byte. The concurrency tests run under
 // TSan in CI.
 
 #include <pthread.h>
@@ -12,12 +14,16 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include "core/scpm.h"
+#include "core/sink.h"
+#include "core/statistics.h"
 #include "graph/attributed_graph.h"
 #include "server/json.h"
 #include "server/server.h"
@@ -744,6 +752,334 @@ TEST(ServerTest, StatusAndCancelRangeCheckTheId) {
     ASSERT_TRUE(missing.ok());
     EXPECT_EQ(missing->StringOr("code", ""), "not-found");
   }
+}
+
+// ------------------------------------------------ result text writers
+
+// The tree builders the server used before it wrote result rows
+// straight to text: the reference the text writers must match byte for
+// byte.
+JsonValue RefIdArray(const std::vector<std::uint32_t>& ids) {
+  JsonValue out = JsonValue::MakeArray();
+  for (const std::uint32_t id : ids) {
+    out.MutableArray()->push_back(JsonValue(std::uint64_t{id}));
+  }
+  return out;
+}
+
+JsonValue RefPatternToJson(const StructuralCorrelationPattern& pattern) {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("attributes", RefIdArray(pattern.attributes));
+  out.Set("vertices", RefIdArray(pattern.vertices));
+  out.Set("min_degree_ratio", JsonValue(pattern.min_degree_ratio));
+  out.Set("edge_density", JsonValue(pattern.edge_density));
+  return out;
+}
+
+JsonValue RefStatsToJson(const AttributeSetStats& stats,
+                         const AttributedGraph* graph) {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("attributes", RefIdArray(stats.attributes));
+  if (graph != nullptr) {
+    JsonValue names = JsonValue::MakeArray();
+    for (const AttributeId a : stats.attributes) {
+      names.MutableArray()->push_back(JsonValue(graph->AttributeName(a)));
+    }
+    out.Set("names", std::move(names));
+  }
+  out.Set("support", JsonValue(std::uint64_t{stats.support}));
+  out.Set("covered", JsonValue(std::uint64_t{stats.covered}));
+  out.Set("epsilon", JsonValue(stats.epsilon));
+  out.Set("expected_epsilon", JsonValue(stats.expected_epsilon));
+  out.Set("delta", JsonValue(stats.delta));
+  return out;
+}
+
+JsonValue RefCountersToJson(const ScpmCounters& counters) {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("attribute_sets_evaluated",
+          JsonValue(counters.attribute_sets_evaluated));
+  out.Set("attribute_sets_reported",
+          JsonValue(counters.attribute_sets_reported));
+  out.Set("attribute_sets_extended",
+          JsonValue(counters.attribute_sets_extended));
+  out.Set("coverage_candidates", JsonValue(counters.coverage_candidates));
+  out.Set("intra_search_evaluations",
+          JsonValue(counters.intra_search_evaluations));
+  out.Set("intra_branch_tasks", JsonValue(counters.intra_branch_tasks));
+  out.Set("bitmap_intersections", JsonValue(counters.bitmap_intersections));
+  out.Set("galloping_intersections",
+          JsonValue(counters.galloping_intersections));
+  out.Set("dense_conversions", JsonValue(counters.dense_conversions));
+  return out;
+}
+
+JsonValue RefRows(const std::vector<AttributeSetStats>& rows,
+                  const AttributedGraph* graph) {
+  JsonValue out = JsonValue::MakeArray();
+  for (const AttributeSetStats& row : rows) {
+    out.MutableArray()->push_back(RefStatsToJson(row, graph));
+  }
+  return out;
+}
+
+JsonValue RefPatterns(
+    const std::vector<StructuralCorrelationPattern>& patterns) {
+  JsonValue out = JsonValue::MakeArray();
+  for (const StructuralCorrelationPattern& p : patterns) {
+    out.MutableArray()->push_back(RefPatternToJson(p));
+  }
+  return out;
+}
+
+/// Doubles whose text is easy to get wrong: zero, an integral value
+/// (printed without a fraction), non-terminating binary fractions, the
+/// smallest subnormal, extreme exponents, and 2^53.
+const double kDoubles[] = {0, 3, 0.1, 1.0 / 3, 5e-324, 1e-300, 1e300, 0x1p53};
+
+/// Attribute names that need escaping or carry multi-byte UTF-8.
+std::vector<std::string> EdgeNames() {
+  std::vector<std::string> names = {"plain", "say \"hi\"", "back\\slash"};
+  names.push_back("ctl\x01x");
+  names.push_back("caf\xc3\xa9");
+  names.push_back("\xe2\x82\xac a/b");
+  return names;
+}
+
+const std::vector<std::string> kEdgeNames = EdgeNames();
+
+/// One vertex per name, each carrying its attribute (a graph keeps only
+/// attributes that occur), so attribute i is named kEdgeNames[i].
+AttributedGraph EdgeNameGraph() {
+  const auto n = static_cast<VertexId>(kEdgeNames.size());
+  AttributedGraphBuilder builder(n);
+  for (VertexId v = 0; v + 1 < n; ++v) builder.AddEdge(v, v + 1);
+  for (VertexId v = 0; v < n; ++v) {
+    EXPECT_TRUE(builder.AddVertexAttribute(v, kEdgeNames[v]).ok());
+  }
+  Result<AttributedGraph> g = builder.Build();
+  EXPECT_TRUE(g.ok()) << g.status();
+  return std::move(g).value();
+}
+
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// An edge double, a double in [0, 1), or any finite double by its bits.
+double RandomDouble(Rng* rng) {
+  switch (rng->NextBounded(3)) {
+    case 0:
+      return kDoubles[rng->NextBounded(std::size(kDoubles))];
+    case 1:
+      return rng->NextDouble();
+    default:
+      while (true) {
+        const double d = std::bit_cast<double>(rng->Next());
+        if (std::isfinite(d)) return d;
+      }
+  }
+}
+
+std::vector<std::uint32_t> RandomIds(Rng* rng, std::uint64_t universe) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint64_t i = 0; i < universe; ++i) {
+    if (rng->NextBool(0.4)) ids.push_back(static_cast<std::uint32_t>(i));
+  }
+  return ids;
+}
+
+AttributeSetStats RandomRow(Rng* rng) {
+  AttributeSetStats row;
+  row.attributes = RandomIds(rng, kEdgeNames.size());
+  row.support = rng->NextBounded(1u << 20);
+  row.covered = rng->NextBounded(row.support + 1);
+  row.epsilon = RandomDouble(rng);
+  row.expected_epsilon = RandomDouble(rng);
+  row.delta = RandomDouble(rng);
+  return row;
+}
+
+StructuralCorrelationPattern RandomPattern(Rng* rng) {
+  StructuralCorrelationPattern p;
+  p.attributes = RandomIds(rng, kEdgeNames.size());
+  p.vertices = RandomIds(rng, 40);
+  p.vertices.push_back(4000000000u);  // above 2^31
+  p.min_degree_ratio = RandomDouble(rng);
+  p.edge_density = RandomDouble(rng);
+  return p;
+}
+
+TEST(ResultWriterTest, RowsAndPatternsMatchTheTreeBytes) {
+  const AttributedGraph graph = EdgeNameGraph();
+  const AttributedGraph* const graphs[] = {&graph, nullptr};
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<AttributeSetStats> rows(rng.NextBounded(6));
+    for (AttributeSetStats& row : rows) row = RandomRow(&rng);
+    std::vector<StructuralCorrelationPattern> patterns(rng.NextBounded(4));
+    for (StructuralCorrelationPattern& p : patterns) p = RandomPattern(&rng);
+    for (const AttributedGraph* g : graphs) {
+      EXPECT_EQ(AttributeSetRowsJson(rows, g), RefRows(rows, g).Dump());
+    }
+    EXPECT_EQ(PatternsJson(patterns), RefPatterns(patterns).Dump());
+  }
+  // Every name, and every edge double in every field.
+  AttributeSetStats all;
+  for (AttributeId a = 0; a < kEdgeNames.size(); ++a) {
+    all.attributes.push_back(a);
+  }
+  for (const double d : kDoubles) {
+    all.epsilon = all.expected_epsilon = all.delta = d;
+    for (const AttributedGraph* g : graphs) {
+      EXPECT_EQ(AttributeSetRowsJson({all}, g), RefRows({all}, g).Dump());
+    }
+  }
+  EXPECT_EQ(AttributeSetRowsJson({}, &graph), "[]");
+  EXPECT_EQ(PatternsJson({}), "[]");
+}
+
+std::uint64_t RandomCounter(Rng* rng) {
+  return rng->NextBounded(std::uint64_t{1} << rng->NextBounded(50));
+}
+
+TEST(ResultWriterTest, CountersMatchTheTreeBytes) {
+  Rng rng(7);
+  for (int trial = 0; trial < 100; ++trial) {
+    ScpmCounters c;
+    c.attribute_sets_evaluated = RandomCounter(&rng);
+    c.attribute_sets_reported = RandomCounter(&rng);
+    c.attribute_sets_extended = RandomCounter(&rng);
+    c.coverage_candidates = RandomCounter(&rng);
+    c.intra_search_evaluations = RandomCounter(&rng);
+    c.intra_branch_tasks = RandomCounter(&rng);
+    c.bitmap_intersections = RandomCounter(&rng);
+    c.galloping_intersections = RandomCounter(&rng);
+    c.dense_conversions = RandomCounter(&rng);
+    EXPECT_EQ(ScpmCountersJson(c), RefCountersToJson(c).Dump());
+  }
+}
+
+/// Replaces the pre-serialized members of a parsed Describe() with the
+/// reference trees of the session's outcome.
+void SubstituteReference(const QuerySession& session,
+                         const AttributedGraph* graph, JsonValue* out) {
+  JsonValue::Object& top = *out->MutableObject();
+  top["counters"] = RefCountersToJson(session.run().counters);
+  JsonValue::Object& result = *top["result"].MutableObject();
+  if (session.spec().sink == QuerySpec::Sink::kAccumulate) {
+    const ScpmResult& mined = session.result();
+    result["attribute_sets"] = RefRows(mined.attribute_sets, graph);
+    result["patterns"] = RefPatterns(mined.patterns);
+  } else {
+    result["patterns"] = RefPatterns(session.top_patterns());
+  }
+}
+
+TEST(ResultWriterTest, DescribeMatchesTheTreeBytes) {
+  const AttributedGraph graph = RandomAttributed(42);
+  ServerOptions options;
+  options.threads = 2;
+  ScpmServer server(&graph, options);
+  server.Start();
+
+  std::vector<QuerySpec> specs(3, AccumulateSpec(Table1Options()));
+  specs[1].options.collect_patterns = false;  // an empty pattern list
+  specs[2].sink = QuerySpec::Sink::kTopK;
+  specs[2].sink_k = 3;
+  for (const QuerySpec& spec : specs) {
+    std::shared_ptr<QuerySession> session = SubmitOk(&server, spec);
+    session->WaitTerminal();
+    ASSERT_EQ(session->state(), QueryState::kDone);
+    const std::string text = session->Describe(nullptr).Dump();
+    Result<JsonValue> parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    SubstituteReference(*session, &graph, &*parsed);
+    EXPECT_EQ(text, parsed->Dump());
+  }
+}
+
+TEST(ResultWriterTest, JsonlLineParsesBackToTheSameBits) {
+  const AttributedGraph graph = EdgeNameGraph();
+  const AttributedGraph* const graphs[] = {&graph, nullptr};
+  Rng rng(99);
+  for (int trial = 0; trial < 100; ++trial) {
+    for (const AttributedGraph* g : graphs) {
+      AttributeSetOutput output;
+      output.stats = RandomRow(&rng);
+      output.patterns.resize(rng.NextBounded(3));  // often empty
+      for (StructuralCorrelationPattern& p : output.patterns) {
+        p = RandomPattern(&rng);
+      }
+      const AttributeSetOutput expect = output;
+      std::ostringstream os;
+      JsonlSink sink(&os, g);
+      ASSERT_TRUE(sink.Emit({}, std::move(output)).ok());
+      std::string line = os.str();
+      ASSERT_EQ(line.back(), '\n');
+      line.pop_back();
+      Result<JsonValue> parsed = JsonValue::Parse(line);
+      ASSERT_TRUE(parsed.ok()) << parsed.status() << " line: " << line;
+
+      const AttributeSetStats& row = expect.stats;
+      EXPECT_EQ(parsed->Find("attributes")->Dump(),
+                RefIdArray(row.attributes).Dump());
+      const JsonValue* names = parsed->Find("names");
+      ASSERT_EQ(names != nullptr, g != nullptr);
+      if (g != nullptr) {
+        ASSERT_EQ(names->AsArray().size(), row.attributes.size());
+        for (std::size_t i = 0; i < row.attributes.size(); ++i) {
+          EXPECT_EQ(names->AsArray()[i].AsString(),
+                    kEdgeNames[row.attributes[i]]);
+        }
+      }
+      EXPECT_EQ(parsed->NumberOr("support", -1), row.support);
+      EXPECT_EQ(parsed->NumberOr("covered", -1), row.covered);
+      EXPECT_EQ(Bits(parsed->NumberOr("epsilon", -1)), Bits(row.epsilon));
+      EXPECT_EQ(Bits(parsed->NumberOr("expected_epsilon", -1)),
+                Bits(row.expected_epsilon));
+      EXPECT_EQ(Bits(parsed->NumberOr("delta", -1)), Bits(row.delta));
+      const JsonValue::Array& patterns = parsed->Find("patterns")->AsArray();
+      ASSERT_EQ(patterns.size(), expect.patterns.size());
+      for (std::size_t i = 0; i < patterns.size(); ++i) {
+        const StructuralCorrelationPattern& p = expect.patterns[i];
+        EXPECT_EQ(patterns[i].Find("vertices")->Dump(),
+                  RefIdArray(p.vertices).Dump());
+        EXPECT_EQ(Bits(patterns[i].NumberOr("gamma", -1)),
+                  Bits(p.min_degree_ratio));
+        EXPECT_EQ(Bits(patterns[i].NumberOr("density", -1)),
+                  Bits(p.edge_density));
+      }
+    }
+  }
+}
+
+TEST(ResultWriterTest, PreSerializedMemberDumpsAsItsPlainForm) {
+  JsonValue list = JsonValue::MakeArray();
+  list.MutableArray()->push_back(JsonValue(0.1));
+  list.MutableArray()->push_back(JsonValue("say \"hi\"\n"));
+  list.MutableArray()->push_back(JsonValue());
+  JsonValue inner = JsonValue::MakeObject();
+  inner.Set("z", JsonValue(true));
+  inner.Set("a", JsonValue(std::uint64_t{1} << 53));
+  JsonValue plain = JsonValue::MakeObject();
+  plain.Set("list", list);
+  plain.Set("inner", inner);
+  plain.Set("n", JsonValue(5e-324));
+
+  JsonValue with_raw = plain;
+  with_raw.Set("list", JsonValue::Raw(list.Dump()));
+  with_raw.Set("inner", JsonValue::Raw(inner.Dump()));
+  EXPECT_EQ(with_raw.Dump(), plain.Dump());
+  Result<JsonValue> reparsed = JsonValue::Parse(with_raw.Dump());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ(reparsed->Dump(), plain.Dump());
+  EXPECT_TRUE(reparsed->Find("list")->is_array());
+  EXPECT_TRUE(reparsed->Find("inner")->is_object());
+
+  // Opaque to the accessors: no type predicate holds and no member shows.
+  const JsonValue raw = JsonValue::Raw(inner.Dump());
+  EXPECT_EQ(raw.type(), JsonValue::Type::kRaw);
+  EXPECT_FALSE(raw.is_string() || raw.is_object() || raw.is_array());
+  EXPECT_EQ(raw.Find("z"), nullptr);
 }
 
 }  // namespace

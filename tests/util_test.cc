@@ -1,7 +1,13 @@
-// Unit tests for src/util: Status, Result, Rng, sorted-vector set algebra.
+// Unit tests for src/util: Status, Result, Rng, sorted-vector set algebra,
+// JSON text primitives.
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +15,7 @@
 #include <atomic>
 
 #include "util/fault.h"
+#include "util/json_text.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/sorted_ops.h"
@@ -262,6 +269,81 @@ TEST(RngTest, ShuffleIsPermutation) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+// ------------------------------------------------------------ JSON text
+
+std::string Number(double d) {
+  std::string out;
+  AppendJsonNumber(&out, d);
+  return out;
+}
+
+std::string Quoted(std::string_view s) {
+  std::string out;
+  AppendJsonString(&out, s);
+  return out;
+}
+
+/// The number rule written out with printf, as the server's JSON
+/// printer had it before the primitives were shared.
+std::string PrintfNumber(double d) {
+  char buf[32];
+  if (!std::isfinite(d)) return "null";
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  }
+  return buf;
+}
+
+TEST(JsonTextTest, NumbersFollowThePrintfRule) {
+  const double big = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double d : {0.0, -0.0, 3.0, -3.0, 0.1, 1.0 / 3, 5e-324, 1e-300}) {
+    EXPECT_EQ(Number(d), PrintfNumber(d)) << d;
+  }
+  for (const double d : {1e300, 0x1p53, 1e15 - 1, 1e15, -1e15, 0.5, big}) {
+    EXPECT_EQ(Number(d), PrintfNumber(d)) << d;
+  }
+  EXPECT_EQ(Number(0.0), "0");
+  EXPECT_EQ(Number(3.0), "3");
+  EXPECT_EQ(Number(0.1), "0.10000000000000001");
+  EXPECT_EQ(Number(5e-324), "4.9406564584124654e-324");
+  EXPECT_EQ(Number(1e15), "1000000000000000");
+  EXPECT_EQ(Number(inf), "null");
+  EXPECT_EQ(Number(-inf), "null");
+  EXPECT_EQ(Number(nan), "null");
+
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    const double d = i % 2 == 0 ? std::bit_cast<double>(rng.Next())
+                                : rng.NextDouble() * 1e6;
+    ASSERT_EQ(Number(d), PrintfNumber(d)) << std::bit_cast<std::uint64_t>(d);
+  }
+}
+
+TEST(JsonTextTest, StringsEscapeQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(Quoted(""), "\"\"");
+  EXPECT_EQ(Quoted("plain"), "\"plain\"");
+  EXPECT_EQ(Quoted("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(Quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(Quoted("n\nr\rt\t"), "\"n\\nr\\rt\\t\"");
+  EXPECT_EQ(Quoted(std::string("\x01\x1f\0", 3)), "\"\\u0001\\u001f\\u0000\"");
+  // Bytes from 0x20 up, UTF-8 included, pass through.
+  const std::string utf8 = "caf\xc3\xa9 \xe2\x82\xac/\x7f";
+  EXPECT_EQ(Quoted(utf8), "\"" + utf8 + "\"");
+}
+
+TEST(JsonTextTest, IdArrays) {
+  std::string out;
+  AppendJsonIdArray(&out, {});
+  EXPECT_EQ(out, "[]");
+  out.clear();
+  AppendJsonIdArray(&out, {0, 7, 4294967295u});
+  EXPECT_EQ(out, "[0,7,4294967295]");
 }
 
 // ------------------------------------------------------------ sorted ops
